@@ -16,19 +16,6 @@ def int_det(mat) -> int:
     return _bareiss_det([list(r) for r in mat])
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            row.append(sum(Ai[t] * B[t][j] for t in range(k)))
-        out.append(row)
-    return out
-
-
 def frac_matrix_inverse(M):
     """Inverse of a nonsingular matrix over Fraction."""
     n = len(M)
@@ -91,29 +78,24 @@ def hnf_rows(mat):
 
 def in_row_lattice(hnf_basis, vec) -> bool:
     """Membership of an integer vector in the row lattice given by its HNF."""
-    v = list(vec)
-    for row in hnf_basis:
-        c = next(i for i, a in enumerate(row) if a)
-        if v[c] % row[c]:
-            return False
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return lattice_coords(hnf_basis, vec) is not None
 
 
 def lattice_coords(hnf_basis, vec):
     """Coordinates of vec in the HNF row basis, or None if not a member."""
     v = list(vec)
     out = []
+    c = 0
     for row in hnf_basis:
-        c = next(i for i, a in enumerate(row) if a)
-        if v[c] % row[c]:
+        while not row[c]:  # pivots move right row by row
+            c += 1
+        q, r = divmod(v[c], row[c])
+        if r:
             return None
-        q = v[c] // row[c]
         out.append(q)
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
+            for t in range(c, len(v)):
+                v[t] -= q * row[t]
     return out if not any(v) else None
 
 

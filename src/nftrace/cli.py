@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from nftrace.exact import InternalInvariantError, IntPoly, factor_integer
+from nftrace.exact import InternalInvariantError, IntPoly
 from nftrace.numberfield import (
     FieldConstructionError,
     NumberField,
@@ -159,10 +159,6 @@ def _fmt_fraction(fr) -> str:
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
-def _factored(n: int) -> str:
-    return str(factor_integer(n))
-
-
 def field_summary(K: NumberField, assume_galois: bool = False) -> dict:
     """Shared per-field block: invariants, splittings, local data."""
     ram = sorted(ramified_primes(K))
@@ -204,7 +200,7 @@ def field_summary(K: NumberField, assume_galois: bool = False) -> dict:
         "polynomial": str(K.defining_poly),
         "degree": K.degree,
         "disc": K.disc,
-        "disc_factored": _factored(K.disc),
+        "disc_factored": str(K.disc_factorization),
         "signature": list(K.signature),
         "index": K.index,
         "integral_basis": [[_fmt_fraction(a) for a in row] for row in K.integral_basis],

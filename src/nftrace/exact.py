@@ -7,9 +7,9 @@ factorization over Z and over F_p, and Sturm-chain real root counting.
 No floating point is used anywhere.
 
 Polynomials are coefficient lists in ascending degree order, wrapped in the
-immutable :class:`IntPoly`.  The F_p toolkit at the bottom works on plain
-lists of ints reduced mod p (trimmed, ascending), in the style of classical
-dense-polynomial code.
+immutable :class:`IntPoly`.  The Z/m toolkit (gf_*) works on plain lists
+of ints reduced mod m (trimmed, ascending), in the style of classical
+dense-polynomial code; it is the only mod-m polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -203,6 +203,14 @@ class Factorization:
             n *= p**e
         return n
 
+    def squarefree_part(self) -> int:
+        """The squarefree integer in the same rational square class."""
+        out = self.sign
+        for p, e in self.factors:
+            if e % 2:
+                out *= p
+        return out
+
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
@@ -260,12 +268,7 @@ def factor_integer(n: int) -> Factorization:
 
 def squarefree_part(n: int) -> int:
     """The squarefree integer in the same rational square class as n != 0."""
-    fac = factor_integer(n)
-    out = fac.sign
-    for p, e in fac:
-        if e % 2:
-            out *= p
-    return out
+    return factor_integer(n).squarefree_part()
 
 
 def jacobi(a: int, n: int) -> int:
@@ -545,7 +548,8 @@ def poly_discriminant(f: IntPoly) -> int:
     res = resultant(f, f.derivative())
     num = (-1) ** (n * (n - 1) // 2) * res
     q, r = divmod(num, f.lc)
-    assert r == 0
+    if r:
+        raise InternalInvariantError("lc(f) does not divide Res(f, f')")
     return q
 
 
@@ -586,33 +590,42 @@ def count_real_roots(f: IntPoly) -> int:
 
 
 # ----------------------------------------------------------------------
-# polynomials over F_p: list-of-int toolkit
+# polynomials over Z/m: list-of-int toolkit
 # ----------------------------------------------------------------------
+#
+# Every gf_* function works over Z/m for any modulus m >= 2, on plain
+# coefficient lists (ascending, reduced mod m, trimmed).  Division, monic
+# scaling and the extended gcd need the leading coefficient of the divisor
+# to be a unit mod m, and invert it as pow(lc, -1, m), which raises
+# ValueError otherwise; over F_p that is every nonzero polynomial.  The
+# gcd, square-free and factoring routines further down need m prime.  The
+# Hensel lift and the Newton lift in Galois detection use the same
+# functions with m a prime power.
 
 
-def gf_trim(a: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
+def gf_trim(a: list[int], m: int) -> list[int]:
+    a = [c % m for c in a]
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def gf_add(a, b, p):
+def gf_add(a, b, m):
     out = list(a) if len(a) >= len(b) else list(b)
     small = b if len(a) >= len(b) else a
     for i, c in enumerate(small):
-        out[i] = (out[i] + c) % p
-    return gf_trim(out, p)
+        out[i] = (out[i] + c) % m
+    return gf_trim(out, m)
 
 
-def gf_sub(a, b, p):
+def gf_sub(a, b, m):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return gf_trim(out, p)
+        out[i] = (out[i] - c) % m
+    return gf_trim(out, m)
 
 
-def gf_mul(a, b, p):
+def gf_mul(a, b, m):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -620,42 +633,41 @@ def gf_mul(a, b, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return gf_trim(out, p)
+    return gf_trim(out, m)
 
 
-def gf_scale(a, c, p):
-    return gf_trim([c * x for x in a], p)
+def gf_scale(a, c, m):
+    return gf_trim([c * x for x in a], m)
 
 
-def gf_divmod(a, b, p):
+def gf_divmod(a, b, m):
+    """(q, r) with a = q*b + r and deg r < deg b; lc(b) a unit mod m."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    while len(a) >= len(b) and gf_trim(a, p):
-        a = gf_trim(a, p)
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bc in enumerate(b):
-            a[d + i] = (a[d + i] - c * bc) % p
-        while a and a[-1] % p == 0:
-            a.pop()
-    return gf_trim(q, p), gf_trim(a, p)
+    a = [c % m for c in a]
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], gf_trim(a, m)
+    inv = pow(b[-1], -1, m)
+    low = b[:-1]
+    q = [0] * (len(a) - db)
+    for d in range(len(q) - 1, -1, -1):
+        c = a[d + db] * inv % m
+        if c:
+            q[d] = c
+            for i, bc in enumerate(low, d):
+                a[i] = (a[i] - c * bc) % m
+    return gf_trim(q, m), gf_trim(a[:db], m)
 
 
-def gf_rem(a, b, p):
-    return gf_divmod(a, b, p)[1]
+def gf_rem(a, b, m):
+    return gf_divmod(a, b, m)[1]
 
 
-def gf_monic(a, p):
+def gf_monic(a, m):
     if not a:
         return []
-    inv = pow(a[-1], p - 2, p) if p > 2 else a[-1]
-    return gf_scale(a, inv, p)
+    return gf_scale(a, pow(a[-1], -1, m), m)
 
 
 def gf_gcd(a, b, p):
@@ -665,29 +677,30 @@ def gf_gcd(a, b, p):
     return gf_monic(a, p)
 
 
-def gf_gcdex(a, b, p):
+def gf_gcdex(a, b, m):
     """(s, t, g) with s*a + t*b = g = monic gcd."""
-    r0, r1 = gf_trim(a, p), gf_trim(b, p)
+    r0, r1 = gf_trim(a, m), gf_trim(b, m)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = gf_divmod(r0, r1, p)
+        q, r = gf_divmod(r0, r1, m)
         r0, r1 = r1, r
-        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, m), m)
+        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, m), m)
     if not r0:
         return [], [], []
-    inv = pow(r0[-1], p - 2, p) if p > 2 else r0[-1]
-    return gf_scale(s0, inv, p), gf_scale(t0, inv, p), gf_scale(r0, inv, p)
+    inv = pow(r0[-1], -1, m)
+    return gf_scale(s0, inv, m), gf_scale(t0, inv, m), gf_scale(r0, inv, m)
 
 
-def gf_pow_mod(a, e: int, mod, p):
+def gf_pow_mod(a, e: int, g, m):
+    """a^e modulo (g, m), g with a unit leading coefficient."""
     result = [1]
-    base = gf_rem(a, mod, p)
+    base = gf_rem(a, g, m)
     while e:
         if e & 1:
-            result = gf_rem(gf_mul(result, base, p), mod, p)
-        base = gf_rem(gf_mul(base, base, p), mod, p)
+            result = gf_rem(gf_mul(result, base, m), g, m)
+        base = gf_rem(gf_mul(base, base, m), g, m)
         e >>= 1
     return result
 
@@ -812,65 +825,24 @@ def factor_poly_mod(f: IntPoly, p: int) -> list[tuple[IntPoly, int]]:
 
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: lifts f = g*h and s*g + t*h = 1 from
-    mod m to mod m^2 (g monic).  Coefficient lists over Z."""
+    mod m to mod m^2 (g and h monic).  Coefficient lists over Z."""
     mm = m * m
-
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % mm
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def add(a, b):
-        out = list(a) + [0] * max(0, len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % mm
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def sub(a, b):
-        out = list(a) + [0] * max(0, len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % mm
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def divmod_monic(a, b):
-        a = list(a)
-        q = [0] * max(len(a) - len(b) + 1, 0)
-        while len(a) >= len(b):
-            c = a[-1] % mm
-            d = len(a) - len(b)
-            q[d] = c
-            for i, bc in enumerate(b):
-                a[d + i] = (a[d + i] - c * bc) % mm
-            while a and a[-1] % mm == 0:
-                a.pop()
-        return q, a
-
-    e = sub(f, mul(g, h))
-    q, r = divmod_monic(mul(s, e), h)
-    g1 = add(add(g, mul(t, e)), mul(q, g))
-    h1 = add(h, r)
-    b = sub(add(mul(s, g1), mul(t, h1)), [1])
-    c, d = divmod_monic(mul(s, b), h1)
-    s1 = sub(s, d)
-    t1 = sub(sub(t, mul(t, b)), mul(c, g1))
+    e = gf_sub(f, gf_mul(g, h, mm), mm)
+    q, r = gf_divmod(gf_mul(s, e, mm), h, mm)
+    g1 = gf_add(gf_add(g, gf_mul(t, e, mm), mm), gf_mul(q, g, mm), mm)
+    h1 = gf_add(h, r, mm)
+    b = gf_sub(gf_add(gf_mul(s, g1, mm), gf_mul(t, h1, mm), mm), [1], mm)
+    c, d = gf_divmod(gf_mul(s, b, mm), h1, mm)
+    s1 = gf_sub(s, d, mm)
+    t1 = gf_sub(gf_sub(t, gf_mul(t, b, mm), mm), gf_mul(c, g1, mm), mm)
     return g1, h1, s1, t1
 
 
 def _hensel_lift_pair(p, k, f, g0, h0):
     """Lift f = g0*h0 (mod p) to mod p^k; g0 monic.  Returns (g, h)."""
     s, t, one = gf_gcdex(g0, h0, p)
-    assert one == [1], "mod-p factors must be coprime"
+    if one != [1]:
+        raise InternalInvariantError(f"Hensel factors are not coprime mod {p}")
     m = p
     g, h = list(g0), list(h0)
     while m < p**k:
@@ -981,7 +953,8 @@ def factor_poly(f: IntPoly) -> list[tuple[IntPoly, int]]:
         prim = -prim
     # squarefree part, then multiplicities by trial division
     sq = prim.divmod_exact(poly_gcd(prim, prim.derivative()))
-    assert sq is not None
+    if sq is None:
+        raise InternalInvariantError("gcd(f, f') does not divide f")
     # reduce to the monic case: for g = lc^(n-1) f(x/lc), factor g monic
     irreducibles = []
     for g in _factor_squarefree_primitive(sq.primitive()):
@@ -996,7 +969,8 @@ def factor_poly(f: IntPoly) -> list[tuple[IntPoly, int]]:
                 break
             probe = q
             e += 1
-        assert e >= 1
+        if e < 1:
+            raise InternalInvariantError(f"factor {g} does not divide {f}")
         out.append((g, e))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out

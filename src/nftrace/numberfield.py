@@ -7,13 +7,20 @@ of its p-radical until it is p-maximal; the per-prime results are then
 summed.  The Dedekind criterion is run at every such prime as an
 independent certificate that enlargement was (or was not) required.
 
-Basis convention: integral_basis rows express omega_1..omega_n in the
-power basis 1, theta, ..., theta^(n-1); the basis is lower triangular
-with omega_1 = 1.
+An order is held as (den, rows): integer rows, lower triangular with
+positive diagonal, such that omega_i = rows[i] / den in the power basis
+1, theta, ..., theta^(n-1), with omega_1 = 1.  All order arithmetic stays
+in integers: a product omega_i * omega_j is taken on the numerator rows
+mod the monic f, and its basis coordinates come from exact
+back-substitution on the triangular rows.  A remainder anywhere (a
+numerator not divisible by den, or a pivot that does not divide) means
+the lattice is not closed under multiplication.  Structure constants are
+integer vectors, and one multiply, _alg_mul, serves every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,13 +34,16 @@ from nftrace._linalg import (
     nullspace_mod_p,
 )
 from nftrace.exact import (
+    Factorization,
     InternalInvariantError,
     IntPoly,
+    _centered,
     _gf_distinct_degree,
     count_real_roots,
     factor_integer,
     factor_poly,
     factor_poly_mod,
+    gf_add,
     gf_from_intpoly,
     gf_gcd,
     gf_gcdex,
@@ -41,6 +51,7 @@ from nftrace.exact import (
     gf_mul,
     gf_pow_mod,
     gf_rem,
+    gf_sub,
     is_prime,
     poly_discriminant,
 )
@@ -93,117 +104,93 @@ def _canonical_basis(den: int, rows: list[list[int]]):
     return den, out
 
 
-def _basis_fractions(den, rows):
-    return [[Fraction(a, den) for a in r] for r in rows]
-
-
 def _mult_table(f: IntPoly, den: int, rows: list[list[int]]):
     """Structure constants C[i][j] (integer vectors) and the integer
     change-of-basis matrix from power coordinates to basis coordinates.
 
-    Integrality of both is exactly ring closure of the basis and
-    Z[theta] containment; failure means the lattice is not an order.
+    omega_i * omega_j = P / den^2 with P = rows[i] * rows[j] mod f, so its
+    coordinates solve sum_k c_k rows[k] = P / den.  Integrality of every
+    solution is exactly ring closure of the basis and Z[theta] containment;
+    failure means the lattice is not an order.
     """
     n = f.degree
-    M = _basis_fractions(den, rows)
-    Minv = frac_matrix_inverse(M)
-    minv_int = []
-    for r in Minv:
-        row = []
-        for a in r:
-            if a.denominator != 1:
-                raise InternalInvariantError("order does not contain Z[theta]")
-            row.append(int(a))
-        minv_int.append(row)
-    fh = _to_fr(f)
+    # back-substitution is lattice_coords on the echelon form obtained by
+    # reversing both the row order and the coordinates (as _canonical_basis)
+    echelon = [r[::-1] for r in reversed(rows)]
+
+    def coords(v):
+        c = lattice_coords(echelon, v[::-1])
+        return None if c is None else c[::-1]
+
+    minv = []
+    for t in range(n):
+        c = coords([den if k == t else 0 for k in range(n)])
+        if c is None:
+            raise InternalInvariantError("order does not contain Z[theta]")
+        minv.append(c)
     C = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            prod = _fr_mul_mod(M[i], M[j], fh)
-            prod += [Fraction(0)] * (n - len(prod))
-            coords = [
-                sum(prod[k] * Minv[k][t] for k in range(n)) for t in range(n)
-            ]
-            vec = []
-            for c in coords:
-                if c.denominator != 1:
-                    raise InternalInvariantError("basis is not closed under multiplication")
-                vec.append(int(c))
-            C[i][j] = C[j][i] = tuple(vec)
-    return C, minv_int
+            prod = _int_mul_mod(rows[i], rows[j], f.coeffs)
+            c = None
+            if not any(a % den for a in prod):
+                c = coords([a // den for a in prod])
+            if c is None:
+                raise InternalInvariantError("basis is not closed under multiplication")
+            C[i][j] = C[j][i] = tuple(c)
+    return C, minv
 
 
-def _to_fr(f: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in f.coeffs]
-
-
-def _fr_mul_mod(a, b, fh):
-    """Product of Fraction coefficient lists reduced mod the monic fh."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _int_mul_mod(a, b, fc):
+    """Product of integer coefficient lists reduced mod the monic polynomial
+    with coefficients fc; the result has len(fc) - 1 entries."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    n = len(fh) - 1
+                out[i + j] += ai * bj
+    n = len(fc) - 1
     for d in range(len(out) - 1, n - 1, -1):
         c = out[d]
         if c:
-            for k in range(n + 1):
-                out[d - n + k] -= c * fh[k]
-    out = out[:n]
-    while out and not out[-1]:
-        out.pop()
-    return out
+            for k in range(n):
+                out[d - n + k] -= c * fc[k]
+    return out[:n]
 
 
-def _alg_mul_mod_p(C, a, b, p):
-    n = len(C)
-    out = [0] * n
+def _alg_mul(C, a, b):
+    """Product of two elements in basis coordinates, given structure constants C."""
+    out = [0] * len(C)
     for i, ai in enumerate(a):
         if ai:
+            Ci = C[i]
             for j, bj in enumerate(b):
                 if bj:
                     w = ai * bj
-                    cij = C[i][j]
-                    for k in range(n):
-                        if cij[k]:
-                            out[k] = (out[k] + w * cij[k]) % p
+                    for k, c in enumerate(Ci[j]):
+                        if c:
+                            out[k] += w * c
     return out
 
 
-def _alg_mul_int(C, a, b):
-    n = len(C)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    w = ai * bj
-                    cij = C[i][j]
-                    for k in range(n):
-                        if cij[k]:
-                            out[k] += w * cij[k]
-    return out
+def _alg_pow(mult, one, v, e):
+    """v^e by square-and-multiply under the multiplication `mult`."""
+    result, base = one, v
+    while e:
+        if e & 1:
+            result = mult(result, base)
+        base = mult(base, base)
+        e >>= 1
+    return result
 
 
 def _frobenius_power_matrix(C, p, n):
     """Matrix of x -> x^(p^m) on O/pO with p^m >= n, columns = images."""
-    def alg_pow(v, e):
-        result = [1 if k == 0 else 0 for k in range(n)]
-        base = list(v)
-        while e:
-            if e & 1:
-                result = _alg_mul_mod_p(C, result, base, p)
-            base = _alg_mul_mod_p(C, base, base, p)
-            e >>= 1
-        return result
+    def mult(u, v):
+        return [c % p for c in _alg_mul(C, u, v)]
 
-    cols = []
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        cols.append(alg_pow(v, p))
+    one = [1] + [0] * (n - 1)
+    cols = [_alg_pow(mult, one, [int(k == i) for k in range(n)], p) for i in range(n)]
     F = [[cols[c][r] for c in range(n)] for r in range(n)]
     m = 1
     q = p
@@ -242,7 +229,7 @@ def _enlarge_at_p(f: IntPoly, den: int, rows: list[list[int]], p: int):
         for i in range(n):
             e = [0] * n
             e[i] = 1
-            prods.append(_alg_mul_int(C, e, t))
+            prods.append(_alg_mul(C, e, t))
         coords = []
         for v in prods:
             cv = lattice_coords(T, v)
@@ -291,17 +278,18 @@ def dedekind_p_maximal(f: IntPoly, p: int) -> bool:
     hl = IntPoly(h_lift[:-1] + [1]) if len(h_lift) > 1 else IntPoly([1])
     prod = gl * hl
     diff = prod - f
+    if any(c % p for c in diff.coeffs):
+        raise InternalInvariantError(f"Dedekind lift is not f mod p at p={p}")
     T = [c // p for c in diff.coeffs]
-    assert all(c % p == 0 for c in diff.coeffs)
     Tb = gf_rem([c % p for c in T], fb, p) if T else []
     u = gf_gcd(gf_gcd(Tb if Tb else [0], gstar, p), hstar, p)
     return len(u) <= 1
 
 
-def _maximal_order(f: IntPoly, disc_f: int):
+def _maximal_order(f: IntPoly, disc_f_fac: Factorization):
     """Maximal order as (den, rows, index); Dedekind cross-check included."""
     n = f.degree
-    bad = [p for p, e in factor_integer(disc_f) if e >= 2]
+    bad = [p for p, e in disc_f_fac if e >= 2]
     parts = []
     for p in bad:
         den_p, rows_p = _p_maximal_order(f, p)
@@ -352,10 +340,11 @@ class GramMatrix:
 class NumberField:
     """A number field Q(theta) with its maximal order precomputed."""
 
-    def __init__(self, f: IntPoly, den, rows, index, disc, signature):
+    def __init__(self, f: IntPoly, den, rows, index, disc_factorization, signature):
         self.defining_poly = f
         self.degree = f.degree
-        self.disc = disc
+        self.disc = disc_factorization.value()
+        self.disc_factorization = disc_factorization
         self.index = index
         self.signature = signature
         self._den = den
@@ -368,16 +357,12 @@ class NumberField:
         self._minv = minv  # power coords -> basis coords, integer matrix
         s = _power_sums(f, f.degree)
         self._trace_vec = []
-        M = self.integral_basis
-        for i in range(self.degree):
-            t = sum(M[i][k] * s[k] for k in range(self.degree))
-            if t.denominator != 1:
+        for r in rows:
+            t, rem = divmod(sum(a * sk for a, sk in zip(r, s)), den)
+            if rem:
                 raise InternalInvariantError("non-integral trace on the order")
-            self._trace_vec.append(int(t))
-        # idempotent caches filled on demand
-        self._gram = None
-        self._galois = None
-        self._split_cache: dict[int, object] = {}
+            self._trace_vec.append(t)
+        self._memo: dict = {}  # see per_field
 
     @property
     def r1(self) -> int:
@@ -401,6 +386,20 @@ class NumberField:
         return f"NumberField({self.defining_poly}, disc={self.disc})"
 
 
+def per_field(fn):
+    """Memoize fn(K, *args) in K's own memo, so it lives and dies with K."""
+
+    @functools.wraps(fn)
+    def memoized(K, *args):
+        key = (fn, *args)
+        memo = K._memo
+        if key not in memo:
+            memo[key] = fn(K, *args)
+        return memo[key]
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class FieldElement:
     """Element of a field in integral-basis coordinates."""
@@ -421,19 +420,8 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
-        n = self.field.degree
-        C = self.field._mult
-        out = [Fraction(0)] * n
-        for i, ai in enumerate(self.coords):
-            if ai:
-                for j, bj in enumerate(other.coords):
-                    if bj:
-                        w = ai * bj
-                        cij = C[i][j]
-                        for k in range(n):
-                            if cij[k]:
-                                out[k] += w * cij[k]
-        return FieldElement(self.field, tuple(out))
+        out = _alg_mul(self.field._mult, self.coords, other.coords)
+        return FieldElement(self.field, tuple(Fraction(c) for c in out))
 
     __rmul__ = __mul__
 
@@ -448,6 +436,22 @@ class FieldElement:
         return all(c.denominator == 1 for c in self.coords)
 
 
+def _disc_factorization(disc_f_fac: Factorization, index: int) -> Factorization:
+    """Factorization of disc(K) = disc(f) / index^2, read off that of disc(f)."""
+    out = []
+    for p, e in disc_f_fac:
+        while index % p == 0:
+            index //= p
+            e -= 2
+        if e < 0:
+            raise InternalInvariantError(f"index^2 does not divide disc(f) at p={p}")
+        if e:
+            out.append((p, e))
+    if index != 1:
+        raise InternalInvariantError("index has a prime factor outside disc(f)")
+    return Factorization(disc_f_fac.sign, tuple(out))
+
+
 def new_field(f: IntPoly) -> NumberField:
     """Construct the number field defined by a monic irreducible polynomial."""
     if f.degree < 2:
@@ -458,25 +462,22 @@ def new_field(f: IntPoly) -> NumberField:
     if len(fac) > 1 or fac[0][1] > 1:
         g = fac[0][0]
         raise FieldConstructionError(f"polynomial is reducible: factor {g}")
-    disc_f = poly_discriminant(f)
-    den, rows, index = _maximal_order(f, disc_f)
-    disc, rem = divmod(disc_f, index * index)
-    if rem:
-        raise InternalInvariantError("disc(f)/index^2 is not an integer")
+    disc_f_fac = factor_integer(poly_discriminant(f))
+    den, rows, index = _maximal_order(f, disc_f_fac)
+    disc_fac = _disc_factorization(disc_f_fac, index)
     r1 = count_real_roots(f)
     n = f.degree
     if (n - r1) % 2:
         raise InternalInvariantError("complex roots did not pair up")
     r2 = (n - r1) // 2
-    if (disc < 0) != (r2 % 2 == 1):
+    if (disc_fac.sign < 0) != (r2 % 2 == 1):
         raise InternalInvariantError("sign(disc) disagrees with signature parity")
-    return NumberField(f, den, rows, index, disc, (r1, r2))
+    return NumberField(f, den, rows, index, disc_fac, (r1, r2))
 
 
+@per_field
 def trace_gram(K: NumberField) -> GramMatrix:
     """Gram matrix G_ij = Tr(omega_i omega_j) of the integral trace form."""
-    if K._gram is not None:
-        return K._gram
     n = K.degree
     C = K._mult
     tv = K._trace_vec
@@ -488,7 +489,6 @@ def trace_gram(K: NumberField) -> GramMatrix:
     gm = GramMatrix(tuple(tuple(r) for r in G))
     if gm.det() != K.disc:
         raise InternalInvariantError("det(trace gram) != disc(K)")
-    K._gram = gm
     return gm
 
 
@@ -540,64 +540,17 @@ def _poly_eval_mod(g: IntPoly, r: list[int], fb: list[int], m: int) -> list[int]
     """g(r) in the ring Z[x]/(m, fb) with fb monic; r a coefficient list."""
     out: list[int] = []
     for c in reversed(g.coeffs):
-        out = _ring_mul(out, r, fb, m)
-        out = _ring_add(out, [c % m], m)
-    return out
-
-
-def _ring_mul(a, b, fb, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    n = len(fb) - 1
-    for d in range(len(out) - 1, n - 1, -1):
-        c = out[d] % m
-        if c:
-            for k in range(n + 1):
-                out[d - n + k] = (out[d - n + k] - c * fb[k]) % m
-    out = out[:n]
-    while out and out[-1] % m == 0:
-        out.pop()
-    return out
-
-
-def _ring_add(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    while out and out[-1] % m == 0:
-        out.pop()
-    return out
-
-
-def _ring_sub(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    while out and out[-1] % m == 0:
-        out.pop()
+        out = gf_add(gf_rem(gf_mul(out, r, m), fb, m), [c], m)
     return out
 
 
 def _verify_root(K: NumberField, coords: list[int]) -> bool:
-    alpha = K.element(coords)
-    acc = K.element([0] * K.degree)
-    one = K.one()
+    """Is the element with these integral-basis coordinates a root of f?"""
+    acc = [0] * K.degree
     for c in reversed(K.defining_poly.coeffs):
-        acc = acc * alpha + c * one
-    return acc.is_zero
-
-
-def _centered_vec(v, m):
-    out = []
-    for c in v:
-        c %= m
-        out.append(c - m if c > m // 2 else c)
-    return out
+        acc = _alg_mul(K._mult, acc, coords)
+        acc[0] += c  # omega_1 = 1
+    return not any(acc)
 
 
 def _count_roots_inert(K: NumberField, p: int, bound: int) -> int:
@@ -614,7 +567,6 @@ def _count_roots_inert(K: NumberField, p: int, bound: int) -> int:
         k += 1
     pk = p**k
     fb = gf_from_intpoly(f, p)
-    fint = [c % pk for c in f.coeffs]
     fprime = f.derivative()
     # Frobenius orbit of the image of theta
     orbit = [[0, 1]]
@@ -631,18 +583,17 @@ def _count_roots_inert(K: NumberField, p: int, bound: int) -> int:
         m = p
         while m < pk:
             m = min(m * m, pk)
-            fm = [c % m for c in f.coeffs]
+            fm = gf_from_intpoly(f, m)
             fr = _poly_eval_mod(f, r, fm, m)
-            r = _ring_sub(r, _ring_mul(fr, u, fm, m), m)
+            r = gf_sub(r, gf_rem(gf_mul(fr, u, m), fm, m), m)
             fpr = _poly_eval_mod(fprime, r, fm, m)
-            corr = _ring_sub([2], _ring_mul(fpr, u, fm, m), m)
-            u = _ring_mul(u, corr, fm, m)
-        if _poly_eval_mod(f, r, fint, pk):
+            corr = gf_sub([2], gf_rem(gf_mul(fpr, u, m), fm, m), m)
+            u = gf_rem(gf_mul(u, corr, m), fm, m)
+        if _poly_eval_mod(f, r, gf_from_intpoly(f, pk), pk):
             raise InternalInvariantError("Newton lift failed to reach a root")
         # power coords mod p^k -> integral basis coords
         a = list(r) + [0] * (n - len(r))
-        c = [sum(a[t] * K._minv[t][j] for t in range(n)) % pk for j in range(n)]
-        c = _centered_vec(c, pk)
+        c = [_centered(sum(a[t] * K._minv[t][j] for t in range(n)), pk) for j in range(n)]
         if all(abs(x) <= bound for x in c) and _verify_root(K, c):
             found.add(tuple(c))
     return len(found)
@@ -658,27 +609,25 @@ def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
     pk = p**k
     roots_mod_p = []
     for g, e in factor_poly_mod(f, p):
-        assert g.degree == 1 and e == 1
-        roots_mod_p.append((-g[0] * pow(g[1], p - 2, p)) % p)
-    assert len(roots_mod_p) == n
+        if g.degree != 1 or e != 1:
+            raise InternalInvariantError(f"f does not split into distinct linear factors mod {p}")
+        roots_mod_p.append((-g[0]) % p)
     fprime = f.derivative()
     lifted = []
     for r in roots_mod_p:
         m = p
         while m < pk:
             m = min(m * m, pk)
-            d = fprime(r) % m
-            inv = pow(d, -1, m)
-            r = (r - f(r) * inv) % m
-        assert f(r) % pk == 0
+            r = (r - f(r) * pow(fprime(r), -1, m)) % m
+        if f(r) % pk:
+            raise InternalInvariantError("Newton lift failed to reach a root")
         lifted.append(r)
     V = [[pow(rho, j, pk) for j in range(n)] for rho in lifted]
     Vinv = _matrix_inverse_mod(V, pk, p)
     found = set()
     for combo in itertools.product(lifted, repeat=n):
         a = [sum(Vinv[i][t] * combo[t] for t in range(n)) % pk for i in range(n)]
-        c = [sum(a[t] * K._minv[t][j] for t in range(n)) % pk for j in range(n)]
-        c = _centered_vec(c, pk)
+        c = [_centered(sum(a[t] * K._minv[t][j] for t in range(n)), pk) for j in range(n)]
         if all(abs(x) <= bound for x in c) and tuple(c) not in found:
             if _verify_root(K, c):
                 found.add(tuple(c))
@@ -714,6 +663,7 @@ def _factor_degree_pattern(f: IntPoly, p: int) -> list[int]:
 _GALOIS_SCAN_CAP = 10**6
 
 
+@per_field
 def is_galois(K: NumberField) -> bool:
     """Exact normality test.
 
@@ -722,14 +672,11 @@ def is_galois(K: NumberField) -> bool:
     the first totally split prime) triggers a p-adic count of the roots of
     f inside O_K; the field is Galois iff all n roots are found.
     """
-    if K._galois is not None:
-        return K._galois
     n = K.degree
     if n == 2:
-        K._galois = True
         return True
     f = K.defining_poly
-    disc_f = poly_discriminant(f)
+    disc_f = K.index**2 * K.disc
     bound = _coordinate_bound(K)
     split_candidate = None
     patience = 0
@@ -738,22 +685,18 @@ def is_galois(K: NumberField) -> bool:
         if disc_f % p:
             pattern = _factor_degree_pattern(f, p)
             if len(set(pattern)) > 1:
-                K._galois = False
                 return False
             d = pattern[0]
             if d == n:
-                K._galois = _count_roots_inert(K, p, bound) == n
-                return K._galois
+                return _count_roots_inert(K, p, bound) == n
             if d == 1:
                 if n <= 5:
-                    K._galois = _count_roots_split(K, p, bound) == n
-                    return K._galois
+                    return _count_roots_split(K, p, bound) == n
                 split_candidate = split_candidate or p
             if split_candidate is not None:
                 patience += 1
                 if patience > 25:
-                    K._galois = _count_roots_split(K, split_candidate, bound) == n
-                    return K._galois
+                    return _count_roots_split(K, split_candidate, bound) == n
         p = 3 if p == 2 else p + 2
         while not is_prime(p):
             p += 2

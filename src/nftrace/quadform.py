@@ -20,7 +20,7 @@ from nftrace.exact import (
     legendre,
     squarefree_part,
 )
-from nftrace.numberfield import GramMatrix, NumberField, trace_gram
+from nftrace.numberfield import GramMatrix, NumberField, per_field, trace_gram
 from nftrace.splitting import is_tame_field, ramified_primes
 
 
@@ -388,13 +388,10 @@ def jordan_form_odd(G, p: int) -> JordanForm:
 # ----------------------------------------------------------------------
 
 
+@per_field
 def trace_form_diagonal(K: NumberField) -> DiagonalForm:
     """Rational diagonalization of the integral trace form, cached."""
-    cached = K.__dict__.get("_trace_diag")
-    if cached is None:
-        cached = diagonalize_rational(trace_gram(K))
-        K.__dict__["_trace_diag"] = cached
-    return cached
+    return diagonalize_rational(trace_gram(K))
 
 
 def trace_hasse(K: NumberField, p: int) -> int:

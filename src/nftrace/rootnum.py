@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nftrace.exact import InternalInvariantError, is_prime, squarefree_part
+from nftrace.exact import InternalInvariantError, is_prime
 from nftrace.numberfield import NumberField
 from nftrace.quadform import hilbert_symbol, trace_hasse
 from nftrace.splitting import ramified_primes
@@ -46,7 +46,7 @@ def stiefel_whitney_local(K: NumberField, p: int) -> NormalizedRootNumber:
 
 def det_rho_discriminant(K: NumberField) -> DetCharacter:
     """The determinant character's square class, which is disc(K)."""
-    return DetCharacter(squarefree_part(K.disc))
+    return DetCharacter(K.disc_factorization.squarefree_part())
 
 
 @dataclass(frozen=True)

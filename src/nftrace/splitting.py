@@ -17,18 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from nftrace._linalg import hnf_rows, in_row_lattice, nullspace_mod_p, solve_row_combo_mod_p
-from nftrace.exact import (
-    InternalInvariantError,
-    IntPoly,
-    factor_integer,
-    factor_poly_mod,
-    is_prime,
-)
+from nftrace.exact import InternalInvariantError, IntPoly, factor_poly_mod, is_prime
 from nftrace.numberfield import (
     NumberField,
-    _alg_mul_int,
-    _alg_mul_mod_p,
+    _alg_mul,
+    _alg_pow,
     _frobenius_power_matrix,
+    per_field,
 )
 
 
@@ -71,6 +66,7 @@ class DecompositionType:
         return "(" + ",".join(str(f) for f in self.fs) + ")"
 
 
+@per_field
 def split_prime(K: NumberField, p: int) -> PrimeSplitting:
     """Decompose a rational prime (or -1, the infinite place) in K."""
     if p == -1:
@@ -78,9 +74,6 @@ def split_prime(K: NumberField, p: int) -> PrimeSplitting:
         return PrimeSplitting(-1, pairs)
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cached = K._split_cache
-    if p in cached:
-        return cached[p]
     if K.index % p:
         fac = factor_poly_mod(K.defining_poly, p)
         pairs = sorted(((e, g.degree) for g, e in fac), key=lambda t: (t[1], t[0]))
@@ -88,9 +81,7 @@ def split_prime(K: NumberField, p: int) -> PrimeSplitting:
         pairs = sorted(_split_via_order(K, p), key=lambda t: (t[1], t[0]))
     if sum(e * f for e, f in pairs) != K.degree:
         raise InternalInvariantError(f"sum e_i f_i != n at p={p}")
-    out = PrimeSplitting(p, tuple(pairs))
-    cached[p] = out
-    return out
+    return PrimeSplitting(p, tuple(pairs))
 
 
 def _split_via_order(K: NumberField, p: int) -> list[tuple[int, int]]:
@@ -100,7 +91,7 @@ def _split_via_order(K: NumberField, p: int) -> list[tuple[int, int]]:
     rad = nullspace_mod_p(_frobenius_power_matrix(C, p, n), p)
 
     def mult_mod_p(u, v):
-        return _alg_mul_mod_p(C, u, v, p)
+        return [c % p for c in _alg_mul(C, u, v)]
 
     one = [1] + [0] * (n - 1)
     if rad:
@@ -161,20 +152,10 @@ def _split_unital(mult, one, basis, p):
     """
     m = len(basis)
 
-    def alg_pow(v, e):
-        result = one
-        base = v
-        while e:
-            if e & 1:
-                result = mult(result, base)
-            base = mult(base, base)
-            e >>= 1
-        return result
-
     # Frobenius in basis coordinates; fixed-space dimension = factor count
     cols = []
     for b in basis:
-        img = alg_pow(b, p)
+        img = _alg_pow(mult, one, b, p)
         x = solve_row_combo_mod_p(basis, img, p)
         if x is None:
             raise InternalInvariantError("Frobenius left the algebra")
@@ -268,7 +249,7 @@ def _valuation_of_p(K: NumberField, P_hnf, p: int) -> int:
     power = base
     e = 1
     while e <= n:
-        prods = [_alg_mul_int(C, a, b) for a in power for b in base]
+        prods = [_alg_mul(C, a, b) for a in power for b in base]
         nxt = hnf_rows(prods)
         if len(nxt) == n and contains_pO(nxt):
             power = nxt
@@ -300,10 +281,7 @@ def is_tame_field(K: NumberField) -> bool:
 
 def ramified_primes(K: NumberField) -> set[int]:
     """Primes dividing disc(K), cross-checked against e_i > 1."""
-    out = set()
-    for p, _ in factor_integer(K.disc):
-        if p > 0:
-            out.add(p)
+    out = set(K.disc_factorization.primes())
     for p in out:
         if not split_prime(K, p).is_ramified:
             raise InternalInvariantError(f"p={p} divides disc but no e_i > 1")

@@ -1,6 +1,10 @@
 """CLI: parsing, exit codes, report structure, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,24 @@ def test_exit_code_internal_invariant(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "inspect_field", boom)
     assert main(["inspect", "x^2 + 1"]) == 4
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_cleanly():
+    import nftrace
+
+    src = str(Path(nftrace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nftrace", "inspect", "x^2+1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "disc             -4 = -2^2" in proc.stdout
 
 
 # ----------------------------------------------------------------------

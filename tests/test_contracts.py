@@ -1,0 +1,43 @@
+"""Source-level contracts: checks that survive `python -O`, and the names the
+traced bench wraps."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import nftrace
+
+SRC = Path(nftrace.__file__).resolve().parent
+BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips asserts; invariants must raise InternalInvariantError
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _bench_layers():
+    """The LAYERS table of bench/spans.py, read without importing bench."""
+    tree = ast.parse(BENCH_SPANS.read_text(), str(BENCH_SPANS))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no LAYERS table")
+
+
+def test_bench_layers_resolve_to_callables():
+    layers = _bench_layers()
+    assert layers
+    missing = []
+    for module, func in layers:
+        mod = importlib.import_module(f"nftrace.{module}")
+        if not callable(getattr(mod, func, None)):
+            missing.append(f"nftrace.{module}.{func}")
+    assert missing == []

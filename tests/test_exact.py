@@ -6,6 +6,7 @@ routines (factorint / discriminant / count_roots / factor_list), which act
 as the external oracle for this module.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,10 @@ from nftrace.exact import (
     factor_integer,
     factor_poly,
     factor_poly_mod,
+    gf_add,
+    gf_divmod,
     gf_from_intpoly,
+    gf_gcdex,
     gf_mul,
     is_prime,
     jacobi,
@@ -294,6 +298,33 @@ def test_factor_poly_mod_vs_sympy_random():
             (tuple(int(c) for c in reversed(g)), e) for g, e in theirs
         )
         assert mine_set == theirs_set
+
+
+def test_gf_divmod_any_modulus_with_unit_leading_coefficient():
+    # the Z/m contract: any m, divisor with a unit leading coefficient
+    rng = random.Random(31)
+    for m in (2, 7, 3**5, 2**9, 10, 5**4 * 7):
+        for _ in range(40):
+            a = [rng.randrange(m) for _ in range(rng.randint(0, 9))]
+            lc = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+            b = [rng.randrange(m) for _ in range(rng.randint(0, 4))] + [lc]
+            q, r = gf_divmod(a, b, m)
+            assert len(r) < len(b)
+            assert gf_add(gf_mul(q, b, m), r, m) == gf_from_intpoly(IntPoly(a), m)
+    with pytest.raises(ValueError):
+        gf_divmod([1, 2, 3], [1, 3], 9)  # 3 is not a unit mod 9
+
+
+def test_gf_gcdex_bezout_mod_prime():
+    rng = random.Random(37)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5, 101])
+        a = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [1]
+        b = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [1]
+        s, t, g = gf_gcdex(a, b, p)
+        assert g and g[-1] == 1
+        assert gf_add(gf_mul(s, a, p), gf_mul(t, b, p), p) == g
+        assert gf_divmod(a, g, p)[1] == [] and gf_divmod(b, g, p)[1] == []
 
 
 def test_factor_poly_trivial_split():

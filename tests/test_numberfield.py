@@ -139,6 +139,27 @@ def test_trace_gram_det_equals_disc():
         assert trace_gram(K).det() == K.disc
 
 
+def test_disc_factorization_is_read_off_disc_f():
+    from conftest import CORPUS
+
+    for name in CORPUS:
+        K = field(name)
+        assert K.disc_factorization == factor_integer(K.disc), name
+
+
+def test_per_field_memo_lives_with_the_field():
+    import gc
+    import weakref
+
+    K = new_field(IntPoly([-2, 0, 0, 1]))
+    assert trace_gram(K) is trace_gram(K)
+    assert is_galois(K) is False and len(K._memo) == 2
+    ref = weakref.ref(K)
+    del K
+    gc.collect()
+    assert ref() is None
+
+
 def test_element_trace():
     K = field("gauss")
     one = K.one()
