@@ -11,6 +11,7 @@ from nftrace.exact import (
     IntPoly,
     count_real_roots,
     factor_integer,
+    factor_integers,
     factor_poly,
     factor_poly_mod,
     poly_discriminant,
@@ -47,6 +48,7 @@ from nftrace.quadform import (
     jordan_form_odd,
     rational_equivalent,
     same_genus_trace,
+    trace_hasse_profile,
 )
 from nftrace.rootnum import (
     DetCharacter,
@@ -86,6 +88,7 @@ __all__ = [
     "det_rho_discriminant",
     "diagonalize_rational",
     "factor_integer",
+    "factor_integers",
     "factor_poly",
     "factor_poly_mod",
     "hasse_invariant",
@@ -107,5 +110,6 @@ __all__ = [
     "split_prime",
     "stiefel_whitney_local",
     "trace_gram",
+    "trace_hasse_profile",
     "weakly_equivalent",
 ]

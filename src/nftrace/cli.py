@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from nftrace.exact import InternalInvariantError, IntPoly
 from nftrace.numberfield import (
@@ -32,14 +31,7 @@ from nftrace.numberfield import (
     new_field,
     trace_gram,
 )
-from nftrace.quadform import (
-    DiagonalForm,
-    hasse_profile,
-    jordan_form_odd,
-    rational_equivalent,
-    same_genus_trace,
-    trace_form_diagonal,
-)
+from nftrace.quadform import same_genus_trace, trace_hasse_profile, trace_jordan
 from nftrace.rootnum import compare_root_numbers, det_rho_discriminant, stiefel_whitney_local
 from nftrace.splitting import decomposition_type, is_tame_field, ramified_primes, split_prime
 from nftrace.zeta import local_l_factor, weakly_equivalent
@@ -178,7 +170,7 @@ def field_summary(K: NumberField, assume_galois: bool = False) -> dict:
             "l_factor": local_l_factor(K, p).render(),
         }
         if p != 2 and sp.is_tame:
-            J = jordan_form_odd(trace_gram(K), p)
+            J = trace_jordan(K, p)
             entry["jordan"] = {
                 "display": J.display(),
                 "flattened": J.flattened(),
@@ -193,9 +185,8 @@ def field_summary(K: NumberField, assume_galois: bool = False) -> dict:
             entry["normalized_root_number"] = stiefel_whitney_local(K, p).value
         per_prime[str(p)] = entry
     G = trace_gram(K)
-    prof = hasse_profile(trace_form_diagonal(K))
+    prof = trace_hasse_profile(K)
     galois = True if assume_galois else is_galois(K)
-    unit_form = DiagonalForm(tuple(Fraction(1) for _ in range(K.degree)))
     return {
         "polynomial": str(K.defining_poly),
         "degree": K.degree,
@@ -208,11 +199,11 @@ def field_summary(K: NumberField, assume_galois: bool = False) -> dict:
         "tame": is_tame_field(K),
         "galois": galois,
         "galois_assumed": bool(assume_galois),
-        "fundamental_disc": is_fundamental_disc(K.disc),
+        "fundamental_disc": is_fundamental_disc(K.disc_factorization),
         "det_character_class": det_rho_discriminant(K).square_class,
         "trace_gram": [list(r) for r in G.entries],
         "hasse_profile": {str(p): v for p, v in sorted(prof.values.items())},
-        "rational_trace_is_unit_form": rational_equivalent(trace_form_diagonal(K), unit_form),
+        "rational_trace_is_unit_form": prof.is_unit_form(),
         "per_prime": per_prime,
     }
 
@@ -340,7 +331,7 @@ def compare(
         trail.append("normality of both fields assumed via --assume-galois")
     else:
         both_galois = is_galois(K) and is_galois(L)
-    fund = is_fundamental_disc(K.disc)
+    fund = is_fundamental_disc(K.disc_factorization)
 
     genus = same_genus_trace(K, L)
     if genus.applicable:

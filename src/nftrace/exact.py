@@ -35,6 +35,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_BOUND = 10**6
+# below this bound trial division runs without testing the cofactor for primality
+_PRIME_TEST_FROM = 1000
 _small_prime_cache: list[int] = []
 
 
@@ -229,19 +231,28 @@ def factor_integer(n: int) -> Factorization:
     """Exact prime factorization of a nonzero integer.
 
     Trial division below 10^6, then perfect-power reduction and Brent's rho
-    on what survives, with every reported prime re-certified.
+    on what survives, with every reported prime re-certified.  Trial
+    division stops early once the cofactor is a certified prime: it is
+    tested after the primes below 1000 and after every later division.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
     found: dict[int, int] = {}
+    untested = True  # the cofactor n has changed since its last primality test
     for p in _small_primes():
         if p * p > n:
             break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+        if untested and p > _PRIME_TEST_FROM:
+            if is_prime(n):
+                break
+            untested = False
+        if n % p == 0:
+            while n % p == 0:
+                found[p] = found.get(p, 0) + 1
+                n //= p
+            untested = True
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, mult = stack.pop()
@@ -264,6 +275,67 @@ def factor_integer(n: int) -> Factorization:
         stack.append((d, mult))
         stack.append((m // d, mult))
     return Factorization(sign, tuple(sorted(found.items())))
+
+
+def factor_integers(values, known_primes=()) -> list[Factorization]:
+    """Exact prime factorizations of several nonzero integers at once.
+
+    The known primes (certified primes, e.g. those of a discriminant) are
+    divided out first.  The cofactors are refined by gcds into pairwise
+    coprime parts (factor refinement: Bach, Driscoll & Shallit, J.
+    Algorithms 15, 1993), and only those parts are factored.  A prime
+    shared by several values is found once, and large primes of different
+    values are never handed to Brent's rho as one product.
+    """
+    values = list(values)
+    if 0 in values:
+        raise ValueError("cannot factor 0")
+    primes = {q for q in known_primes if any(v % q == 0 for v in values)}
+    rests = []
+    for v in values:
+        m = abs(v)
+        for q in primes:
+            while m % q == 0:
+                m //= q
+        rests.append(m)
+    for part in _coprime_base(rests):
+        primes.update(factor_integer(part).primes())
+    out = []
+    for v in values:
+        m, factors = abs(v), []
+        for q in sorted(primes):
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            if e:
+                factors.append((q, e))
+        if m != 1:
+            raise InternalInvariantError(f"factor refinement left the cofactor {m} of {v}")
+        out.append(Factorization(1 if v > 0 else -1, tuple(factors)))
+    return out
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 with the same prime divisors as the values.
+
+    A value sharing a gcd g > 1 with a base element b replaces b by g and
+    b // g and is itself refined as value // g; the product of base and
+    pending values drops by g at each split, so the loop ends.
+    """
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def squarefree_part(n: int) -> int:

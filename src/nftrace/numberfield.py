@@ -497,20 +497,22 @@ def trace_gram(K: NumberField) -> GramMatrix:
 # ----------------------------------------------------------------------
 
 
-def is_fundamental_disc(d: int) -> bool:
-    """Is d the discriminant of a quadratic field?"""
-    if d == 0 or d == 1:
+def is_fundamental_disc(d: int | Factorization) -> bool:
+    """Is d the discriminant of a quadratic field?
+
+    d is an int or its Factorization; a field passes K.disc_factorization,
+    so nothing is factored again.
+    """
+    fac = d if isinstance(d, Factorization) else None
+    if fac is not None:
+        d = fac.value()
+    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree (so
+    # 2 divides m at most once): either way the odd part is squarefree
+    if d == 1 or d % 4 in (2, 3) or (d % 4 == 0 and d // 4 % 4 in (0, 1)):
         return False
-
-    def squarefree(n):
-        return all(e == 1 for _, e in factor_integer(n))
-
-    if d % 4 == 1:
-        return squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and squarefree(m)
-    return False
+    if fac is None:
+        fac = factor_integer(d)
+    return all(e == 1 for p, e in fac if p != 2)
 
 
 # ----------------------------------------------------------------------

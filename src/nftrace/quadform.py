@@ -6,6 +6,19 @@ Jordan decomposition diagonalizes over the local ring at p by always
 pivoting on an entry of minimal p-valuation, so tame trace forms come out
 with valuations in {0, 1} only.  Unit square classes are abstract
 (square / nonsquare) and displayed with the least positive nonresidue.
+
+A Hasse profile needs the support of a diagonal form: -1, 2 and the odd
+primes dividing some entry.  The entries are never multiplied together and
+factored.  Their numerators and denominators go through one factor
+refinement (`exact.factor_integers`): known primes are divided out, the
+cofactors are split into pairwise coprime parts by gcds, and only those
+parts are factored.  For the trace form this is cheap.  Symmetric
+elimination gives entries d_k = D_k / D_{k-1} from the leading principal
+minors D_k, so each prime of D_k (k < n) sits in two neighbouring entries
+and gcds isolate it, and D_n = disc(K), whose primes the field already
+holds.  Off the support every entry is a p-unit at an odd p, so every
+symbol (a_i, a_j)_p and hence h_p is +1; the profile is therefore exact at
+every place, and `trace_hasse` reads h_p from the per-field profile.
 """
 
 from __future__ import annotations
@@ -14,11 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nftrace.exact import (
+    Factorization,
     InternalInvariantError,
-    factor_integer,
+    factor_integers,
     is_prime,
+    jacobi,
     legendre,
-    squarefree_part,
 )
 from nftrace.numberfield import GramMatrix, NumberField, per_field, trace_gram
 from nftrace.splitting import is_tame_field, ramified_primes
@@ -43,10 +57,7 @@ class DiagonalForm:
         return pos, len(self.entries) - pos
 
     def det_square_class(self) -> int:
-        num = 1
-        for e in self.entries:
-            num *= e.numerator * e.denominator
-        return squarefree_part(num)
+        return _det_square_class(_factor_entries(self))
 
     def __str__(self) -> str:
         return "<" + ",".join(str(e) for e in self.entries) + ">"
@@ -136,42 +147,55 @@ def _split_val(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+def _check_place(p: int) -> None:
+    if p not in (-1, 2) and (p < 2 or not is_prime(p)):
+        raise ValueError(f"{p} is not a prime, 2 or -1")
+
+
+def _local(a: int, p: int):
+    """What (a, b)_p reads of a nonzero integer a: a itself at p = -1,
+    else (v_p(a), p-free part)."""
+    return a if p == -1 else _split_val(a, p)
+
+
+def _hilbert(x, y, p: int) -> int:
+    """(a, b)_p from x = _local(a, p) and y = _local(b, p); p is checked."""
+    if p == -1:
+        return -1 if x < 0 and y < 0 else 1
+    (alpha, u), (beta, v) = x, y
+    if p == 2:
+        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
+        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
+        expo = eps_u * eps_v + alpha * om_v + beta * om_u
+        return -1 if expo % 2 else 1
+    eps_p = (p - 1) // 2 % 2
+    out = 1
+    if alpha % 2 and beta % 2 and eps_p:
+        out = -out
+    if beta % 2 and jacobi(u, p) == -1:
+        out = -out
+    if alpha % 2 and jacobi(v, p) == -1:
+        out = -out
+    return out
+
+
 def hilbert_symbol(a, b, p: int) -> int:
     """(a, b)_p: +1 iff z^2 = a x^2 + b y^2 has a nontrivial p-adic
     solution; p is a finite prime, 2, or -1 for the real place."""
     ai = _square_class_int(a)
     bi = _square_class_int(b)
-    if p == -1:
-        return -1 if ai < 0 and bi < 0 else 1
-    if p == 2:
-        alpha, u = _split_val(ai, 2)
-        beta, v = _split_val(bi, 2)
-        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-        expo = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if expo % 2 else 1
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime, 2 or -1")
-    alpha, u = _split_val(ai, p)
-    beta, v = _split_val(bi, p)
-    eps_p = (p - 1) // 2 % 2
-    out = 1
-    if alpha % 2 and beta % 2 and eps_p:
-        out = -out
-    if beta % 2 and legendre(u, p) == -1:
-        out = -out
-    if alpha % 2 and legendre(v, p) == -1:
-        out = -out
-    return out
+    _check_place(p)
+    return _hilbert(_local(ai, p), _local(bi, p), p)
 
 
 def hasse_invariant(d: DiagonalForm, p: int) -> int:
     """h_p = prod over i < j of (a_i, a_j)_p."""
+    _check_place(p)
+    xs = [_local(_square_class_int(e), p) for e in d.entries]
     out = 1
-    es = d.entries
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            out *= hilbert_symbol(es[i], es[j], p)
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            out *= _hilbert(xs[i], xs[j], p)
     return out
 
 
@@ -184,6 +208,7 @@ class HasseProfile:
     signature: tuple[int, int]
 
     def at(self, p: int) -> int:
+        """h_p at any place: +1 off the support (see the module docstring)."""
         return self.values.get(p, 1)
 
     def product(self) -> int:
@@ -192,16 +217,48 @@ class HasseProfile:
             out *= v
         return out
 
+    def is_unit_form(self) -> bool:
+        """Hasse-Minkowski against <1, ..., 1>: positive definite, det class
+        1 and h_p = +1 at every place."""
+        return (
+            self.signature[1] == 0
+            and self.det_square_class == 1
+            and all(v == 1 for v in self.values.values())
+        )
 
-def hasse_profile(d: DiagonalForm) -> HasseProfile:
-    """Invariants over {-1, 2} and every odd prime in the support."""
-    support = {-1, 2}
-    for e in d.entries:
-        for q, _ in factor_integer(e.numerator * e.denominator):
-            if q > 2:
-                support.add(q)
+
+def _factor_entries(d: DiagonalForm, known_primes=()) -> list[Factorization]:
+    """Factorizations of every numerator and denominator of the entries,
+    from one factor refinement."""
+    return factor_integers(
+        [x for e in d.entries for x in (e.numerator, e.denominator)], known_primes
+    )
+
+
+def _det_square_class(facs: list[Factorization]) -> int:
+    """Squarefree class of the product of the factored integers."""
+    sign, odd = 1, set()
+    for fac in facs:
+        sign *= fac.sign
+        odd ^= {q for q, e in fac if e % 2}
+    out = sign
+    for q in odd:
+        out *= q
+    return out
+
+
+def hasse_profile(d: DiagonalForm, *, known_primes=()) -> HasseProfile:
+    """Invariants over {-1, 2} and every odd prime in the support.
+
+    The support comes from one factor refinement of the entries (see the
+    module docstring); `known_primes` are certified primes that may divide
+    them, such as those of disc(K) for a trace form, and are divided out
+    before anything is factored.
+    """
+    facs = _factor_entries(d, known_primes)
+    support = {-1, 2} | {q for fac in facs for q in fac.primes()}
     values = {p: hasse_invariant(d, p) for p in sorted(support)}
-    prof = HasseProfile(values, d.det_square_class(), d.signature())
+    prof = HasseProfile(values, _det_square_class(facs), d.signature())
     if prof.product() != 1:
         raise InternalInvariantError("Hilbert reciprocity fails for Hasse profile")
     return prof
@@ -215,9 +272,9 @@ def rational_equivalent(G1, G2) -> bool:
         return False
     if d1.signature() != d2.signature():
         return False
-    if d1.det_square_class() != d2.det_square_class():
-        return False
     p1, p2 = hasse_profile(d1), hasse_profile(d2)
+    if p1.det_square_class != p2.det_square_class:
+        return False
     for p in sorted(set(p1.values) | set(p2.values)):
         if p1.at(p) != p2.at(p):
             return False
@@ -394,9 +451,33 @@ def trace_form_diagonal(K: NumberField) -> DiagonalForm:
     return diagonalize_rational(trace_gram(K))
 
 
+@per_field
+def trace_hasse_profile(K: NumberField) -> HasseProfile:
+    """Hasse profile of the trace form, factored once per field.
+
+    The primes of disc(K) = det of the trace form are known from the field
+    and passed in; the det class is cross-checked against disc(K).
+    """
+    disc_fac = K.disc_factorization
+    prof = hasse_profile(trace_form_diagonal(K), known_primes=disc_fac.primes())
+    if prof.det_square_class != disc_fac.squarefree_part():
+        raise InternalInvariantError(
+            f"trace form of {K.defining_poly}: det class {prof.det_square_class} "
+            f"is not the square class {disc_fac.squarefree_part()} of disc(K)"
+        )
+    return prof
+
+
 def trace_hasse(K: NumberField, p: int) -> int:
-    """h_p of the trace form of K."""
-    return hasse_invariant(trace_form_diagonal(K), p)
+    """h_p of the trace form of K, read off its cached Hasse profile."""
+    _check_place(p)
+    return trace_hasse_profile(K).at(p)
+
+
+@per_field
+def trace_jordan(K: NumberField, p: int) -> JordanForm:
+    """Odd-p Jordan form of the integral trace form, cached."""
+    return jordan_form_odd(trace_gram(K), p)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """CLI: parsing, exit codes, report structure, JSON determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,3 +253,43 @@ def test_conway_convention_keys(capsys):
     main(["inspect", "x^2 + 1", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert "-1" in payload["evidence"]["per_prime"]
+
+
+# ----------------------------------------------------------------------
+# inputs whose trace-form Hasse profile used to stall in factor_integer
+# ----------------------------------------------------------------------
+
+# sha256(...)[:16] of `nf inspect --json`, as the entry-by-entry Hasse
+# profile (factoring each whole diagonal entry) printed it, which took 14 s
+# and 23 s for the sextics
+_STALL_INSPECTS = {
+    "x^6 - 89*x^5 - 60*x^4 - 80*x^3 - 29*x^2 + 33*x - 39": "b7c1029e38430582",
+    "x^6 - 96*x^5 - 96*x^4 - 51*x^3 - 61*x^2 + 93*x - 58": "3a1549596ffcc4e0",
+}
+
+
+@pytest.mark.parametrize("poly", sorted(_STALL_INSPECTS))
+def test_stalled_inspects_finish_with_recorded_output(poly, capsys):
+    t0 = time.perf_counter()
+    assert main(["inspect", "--json", poly]) == 0
+    assert time.perf_counter() - t0 < 10
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == _STALL_INSPECTS[poly]
+
+
+def test_item4a_inspect_finishes(capsys):
+    # ROADMAP item 4(a): the 80-digit numerators of the rational
+    # diagonalization once kept Brent's rho busy for more than 100 s
+    poly = (
+        "x^10 + 55*x^9 - 36*x^8 - 22*x^7 + 71*x^6 + 88*x^5 - 57*x^4 "
+        "- 8*x^3 - 79*x^2 - 77*x - 86"
+    )
+    t0 = time.perf_counter()
+    assert main(["inspect", "--json", poly]) == 0
+    assert time.perf_counter() - t0 < 10
+    f = json.loads(capsys.readouterr().out)["fields"][0]
+    product = 1
+    for v in f["hasse_profile"].values():
+        product *= int(v)
+    assert product == 1
+    assert f["disc_factored"] == "2^2 * 3 * 71 * 54589663111 * 63794796416229049421231473057"

@@ -18,6 +18,7 @@ from nftrace.exact import (
     IntPoly,
     count_real_roots,
     factor_integer,
+    factor_integers,
     factor_poly,
     factor_poly_mod,
     gf_add,
@@ -111,6 +112,70 @@ def test_factorization_validates():
         Factorization(1, ((5, 1), (3, 1)))  # out of order
     with pytest.raises(ValueError):
         Factorization(2, ())
+
+
+def _sympy_factors(n: int) -> dict[int, int]:
+    return {int(p): int(e) for p, e in sympy.factorint(n).items() if p > 0}
+
+
+def _big_prime_table():
+    """Seeded: primes in [10^12, 10^30], products of two of them, powers."""
+    rng = random.Random(1993)
+
+    def prime(lo_digits, hi_digits):
+        return int(sympy.nextprime(rng.randrange(10**lo_digits, 10**hi_digits)))
+
+    primes = [prime(12, 13), prime(14, 15), prime(15, 16)]
+    primes += [prime(d, d + 1) for d in rng.sample(range(16, 30), 6)]
+    table = list(primes)
+    # a semiprime: Brent's rho needs about 10^6 steps on a factor near
+    # 10^12 (seconds in pure Python), so the table holds just one
+    table.append(prime(12, 13) * prime(12, 13))
+    table += [primes[0] ** 2, primes[1] ** 3, primes[4] ** 2, 2**5 * 3 * primes[-2] ** 2]
+    table += [-(2**3) * 7 * primes[3], 999983 * primes[2], 1009**2 * primes[5]]
+    return table
+
+
+def test_factor_integer_vs_sympy_large_primes():
+    for n in _big_prime_table():
+        fac = factor_integer(n)
+        assert fac.value() == n
+        assert fac.as_dict() == _sympy_factors(n), n
+
+
+def test_factor_integers_agrees_with_factor_integer():
+    p, q, r = 1000003, 998244353, 2**61 - 1
+    values = [
+        p * q,  # shares p and q with the next values
+        p**2 * r,
+        q * r**3,
+        -(2**4) * 3**2 * p,  # negative, small primes
+        p * q,  # a repeated value
+        7**6,  # a perfect power no known prime divides
+        -1,
+        1,
+        r**2 * 5,
+    ]
+    for known in ((), (p,), (p, r, 101, 7919)):  # 101 and 7919 divide nothing
+        facs = factor_integers(values, known)
+        assert facs == [factor_integer(v) for v in values], known
+
+
+def test_factor_integers_random_shared_primes():
+    rng = random.Random(11)
+    pool = [2, 3, 5, 1009, 65537, 999983, 10**9 + 7]
+    for _ in range(40):
+        values = []
+        for _ in range(rng.randint(1, 6)):
+            powers = [rng.choice(pool) ** rng.randint(1, 3) for _ in range(rng.randint(0, 4))]
+            values.append(rng.choice([1, -1]) * math.prod(powers))
+        known = rng.sample(pool, rng.randint(0, 3))
+        assert factor_integers(values, known) == [factor_integer(v) for v in values]
+
+
+def test_factor_integers_rejects_zero():
+    with pytest.raises(ValueError):
+        factor_integers([3, 0])
 
 
 def test_squarefree_part():

@@ -6,6 +6,7 @@ computer algebra run whose output passed the disc(f) = index^2 * disc(K)
 consistency gate); everything else is checked through internal identities.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -321,3 +322,28 @@ def test_is_fundamental_disc():
     assert not is_fundamental_disc(20)  # Q(sqrt 5) has disc 5
     assert not is_fundamental_disc(-9)
     assert not is_fundamental_disc(-4027 * 4)
+
+
+def _fundamental_disc_oracle(d: int) -> bool:
+    """Definition: d = 1 mod 4 squarefree, or 4m with m = 2, 3 mod 4
+    squarefree (squarefree by trial division)."""
+
+    def squarefree(n):
+        return all(n % (k * k) for k in range(2, math.isqrt(abs(n)) + 1))
+
+    if d in (0, 1):
+        return False
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def test_is_fundamental_disc_accepts_factorization():
+    for d in range(-400, 401):
+        want = _fundamental_disc_oracle(d)
+        assert is_fundamental_disc(d) == want, d
+        if d:
+            assert is_fundamental_disc(factor_integer(d)) == want, d
+    for name in ("S6a", "C3a", "K4", "c49", "gauss", "x2p2", "zeta8"):
+        K = field(name)
+        assert is_fundamental_disc(K.disc_factorization) == is_fundamental_disc(K.disc)

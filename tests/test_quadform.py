@@ -1,11 +1,22 @@
 """Quadratic form invariants against the published quartic-pair values."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import field
-from nftrace.numberfield import trace_gram
+from conftest import CORPUS, field
+from nftrace import quadform
+from nftrace.exact import (
+    Factorization,
+    InternalInvariantError,
+    IntPoly,
+    factor_integer,
+    is_prime,
+    squarefree_part,
+)
+from nftrace.numberfield import new_field, trace_gram
 from nftrace.quadform import (
     NONSQUARE,
     SQUARE,
@@ -20,7 +31,10 @@ from nftrace.quadform import (
     same_genus_trace,
     trace_form_diagonal,
     trace_hasse,
+    trace_hasse_profile,
+    trace_jordan,
 )
+from nftrace.splitting import ramified_primes
 
 
 def D(*entries):
@@ -346,3 +360,120 @@ def test_same_genus_inapplicable_wild():
     cmp = same_genus_trace(field("G7a"), field("G7b"))
     assert not cmp.applicable
     assert "tame" in cmp.failed_hypothesis
+
+
+# ----------------------------------------------------------------------
+# Hasse profile by factor refinement, and the per-field trace profile
+# ----------------------------------------------------------------------
+
+SMOOTH = (2, 3, 4, 6, 8, 9, 12)
+
+
+def _hasse_profile_oracle(d):
+    """The entry-by-entry profile: factor each entry's numerator times
+    denominator for the support, the product of all of them for the det
+    class, and multiply checked Hilbert symbols pair by pair."""
+    support, det = {-1, 2}, 1
+    for e in d.entries:
+        m = e.numerator * e.denominator
+        det *= m
+        support.update(q for q, _ in factor_integer(m))
+    es = d.entries
+    values = {}
+    for p in sorted(support):
+        h = 1
+        for i in range(len(es)):
+            for j in range(i + 1, len(es)):
+                h *= hilbert_symbol(es[i], es[j], p)
+        values[p] = h
+    return values, squarefree_part(det), d.signature()
+
+
+def _rescaled_corpus():
+    """c^n g(x/c) for every CORPUS g of degree >= 3 and smooth c."""
+    out = []
+    for coeffs in CORPUS.values():
+        n = len(coeffs) - 1
+        if n >= 3:
+            for c in SMOOTH:
+                out.append(new_field(IntPoly([a * c ** (n - k) for k, a in enumerate(coeffs)])))
+    return out
+
+
+def _profile_fields():
+    from test_acceptance import _random_fields
+
+    return [field(name) for name in CORPUS] + _random_fields() + _rescaled_corpus()
+
+
+def test_hasse_profile_matches_entry_by_entry_oracle():
+    fields = _profile_fields()
+    assert len(fields) == 17 + 150 + 105
+    for K in fields:
+        d = trace_form_diagonal(K)
+        want = _hasse_profile_oracle(d)
+        for prof in (hasse_profile(d), trace_hasse_profile(K)):
+            assert (prof.values, prof.det_square_class, prof.signature) == want, K
+
+
+def test_hasse_profile_oracle_random_fractions():
+    # entries sharing primes in numerators and denominators, with squares
+    rng = random.Random(1993)
+    primes = [2, 3, 5, 7, 11, 13, 10007, 1000003]
+    for _ in range(100):
+        entries = []
+        for _ in range(rng.randint(1, 6)):
+            num = rng.choice([1, -1]) * math.prod(rng.sample(primes, rng.randint(0, 3)))
+            den = math.prod(rng.choice(primes) ** rng.randint(0, 2) for _ in range(2))
+            entries.append(Fraction(num, den))
+        d = DiagonalForm(tuple(entries))
+        prof = hasse_profile(d)
+        assert (prof.values, prof.det_square_class, prof.signature) == _hasse_profile_oracle(d)
+        assert d.det_square_class() == prof.det_square_class
+
+
+def test_trace_hasse_equals_hasse_invariant():
+    odd_primes = [p for p in range(3, 200) if is_prime(p)]
+    for name in CORPUS:
+        K = field(name)
+        d = trace_form_diagonal(K)
+        for p in sorted(set(odd_primes) | ramified_primes(K) | {-1, 2}):
+            assert trace_hasse(K, p) == hasse_invariant(d, p), (name, p)
+
+
+def test_trace_hasse_rejects_non_places():
+    with pytest.raises(ValueError):
+        trace_hasse(field("K4"), 15)
+
+
+def test_trace_hasse_profile_checks_det_class_against_disc():
+    K = new_field(IntPoly(CORPUS["C3a"]))  # disc -4027, not the shared field
+    K.disc_factorization = Factorization(-1, ((3, 1), (4027, 1)))
+    with pytest.raises(InternalInvariantError, match="square class"):
+        trace_hasse_profile(K)
+
+
+def test_trace_jordan_matches_jordan_form_odd():
+    for name in ("K4", "L4", "c8281a", "S6a"):
+        K = field(name)
+        for p in ramified_primes(K) - {2}:
+            assert trace_jordan(K, p) == jordan_form_odd(trace_gram(K), p)
+            assert trace_jordan(K, p) is trace_jordan(K, p)  # per-field memo
+
+
+def test_hasse_invariant_checks_prime_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    d = D(1, 2, 3, 5, 7, 11)
+    want = _hasse_profile_oracle(d)[0][11]
+    monkeypatch.setattr(quadform, "is_prime", counting_is_prime)
+    assert hasse_invariant(d, 11) == want
+    assert calls == [11]
+    with pytest.raises(ValueError):
+        hasse_invariant(D(3), 15)
+    assert hilbert_symbol(2, 11, 11) == -1  # the public symbol still checks
+    assert calls[-1] == 11
