@@ -19,6 +19,7 @@ from nftrace.exact import (
 from nftrace.numberfield import (
     FieldConstructionError,
     FieldElement,
+    GaloisScanExceeded,
     GramMatrix,
     NumberField,
     is_fundamental_disc,
@@ -70,6 +71,7 @@ __all__ = [
     "Factorization",
     "FieldConstructionError",
     "FieldElement",
+    "GaloisScanExceeded",
     "GenusComparison",
     "GramMatrix",
     "HasseProfile",

@@ -1,7 +1,9 @@
 """Exact linear algebra over Z, Q and F_p used by the order machinery.
 
 Matrices are lists of row lists.  Everything is deterministic: pivots are
-chosen by position and magnitude, never randomly.
+chosen by position and magnitude, never randomly.  The lattice kernels
+(LLL and nearest plane) stay in integers: Gram-Schmidt data is carried as
+Gram determinants and scaled vectors, never as fractions.
 """
 
 from __future__ import annotations
@@ -164,3 +166,101 @@ def solve_row_combo_mod_p(rows, target, p):
     for c, i in piv_of_col.items():
         x[c] = aug[i][nvars]
     return x
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def lll_reduce(rows):
+    """LLL-reduce linearly independent integer rows with delta = 3/4.
+
+    Integral LLL (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7): d[i] is the Gram determinant of the first i rows
+    (d[0] = 1) and lam[k][j] = d[j+1] * mu[k][j], both integers throughout.
+    Returns (reduced rows, d), so the reduced row i has
+    |b*_i|^2 = d[i+1] / d[i].
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = _dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u:
+                d[k + 1] = u
+            else:
+                raise ValueError("rows are linearly dependent")
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * m * m:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b, d
+
+
+def nearest_plane(rows, d):
+    """Babai's nearest-plane map for the lattice of LLL-reduced rows.
+
+    rows and d are as returned by lll_reduce.  The scaled Gram-Schmidt
+    vectors d[i] * b*_i, which are integral, are built once here; the
+    returned function maps a target t to t - v, where v is the lattice
+    vector that nearest plane picks (Babai, Combinatorica 6, 1986).  The
+    residue has every Gram-Schmidt coordinate in [-1/2, 1/2).
+    """
+    n = len(rows)
+    star = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for j in range(i):
+            lam = _dot(row, star[j])
+            v = [(d[j + 1] * a - lam * s) // d[j] for a, s in zip(v, star[j])]
+        star.append(v)
+
+    def residue(t):
+        t = list(t)
+        for i in range(n - 1, -1, -1):
+            q = (2 * _dot(t, star[i]) + d[i + 1]) // (2 * d[i + 1])
+            if q:
+                t = [a - q * c for a, c in zip(t, rows[i])]
+        return t
+
+    return residue

@@ -12,7 +12,8 @@ discriminants agree.  The theorem trail records which sufficient conditions
 the predicted conclusions against the computed ones.
 
 Exit codes: 0 ok, 2 parse error, 3 invalid polynomial, 4 internal
-invariant violation.
+invariant violation, 5 refused: a stage reached its budget (the Galois
+prime scan cap) without an exact answer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from nftrace.exact import InternalInvariantError, IntPoly
 from nftrace.numberfield import (
     FieldConstructionError,
+    GaloisScanExceeded,
     NumberField,
     is_fundamental_disc,
     is_galois,
@@ -641,6 +643,9 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
+    except GaloisScanExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

@@ -21,7 +21,6 @@ integer vectors, and one multiply, _alg_mul, serves every caller.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,8 @@ from nftrace._linalg import (
     hnf_rows,
     int_det,
     lattice_coords,
+    lll_reduce,
+    nearest_plane,
     nullspace_mod_p,
 )
 from nftrace.exact import (
@@ -602,55 +603,62 @@ def _count_roots_inert(K: NumberField, p: int, bound: int) -> int:
 
 
 def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
-    """Roots of f in O_K, certified p-adically at a totally split prime."""
+    """Roots of f in O_K, certified p-adically at a totally split prime.
+
+    The embedding sigma: theta -> r_1 of O_K into Z_p sends a root alpha =
+    sum c_j omega_j of f to one of the n roots r_i of f in Z_p.  So, with
+    the r_i lifted to p^k, c lies in the coset r_i*e_1 + L of the lattice
+    L = {c : sum c_j sigma(omega_j) = 0 mod p^k}, and |c_j| <= bound.  L is
+    LLL-reduced once, and k is accepted only when every Gram-Schmidt vector
+    has |b*_i|^2 > 4*n*bound^2 (d[i+1] > 4*n*bound^2*d[i] in integers).
+    Then two points of one coset in the bound box would differ by a
+    nonzero vector of L shorter than every |b*_i|, so each coset holds at
+    most one such point; that point has every Gram-Schmidt coordinate
+    below 1/2 in size, so nearest plane from r_i*e_1 returns it.  Each
+    candidate inside the bound is verified exactly, so the count is exact.
+    """
     f = K.defining_poly
     n = K.degree
-    k = 1
-    while p**k <= 2 * bound:
-        k += 1
-    pk = p**k
     roots_mod_p = []
     for g, e in factor_poly_mod(f, p):
         if g.degree != 1 or e != 1:
             raise InternalInvariantError(f"f does not split into distinct linear factors mod {p}")
         roots_mod_p.append((-g[0]) % p)
     fprime = f.derivative()
-    lifted = []
-    for r in roots_mod_p:
-        m = p
-        while m < pk:
-            m = min(m * m, pk)
-            r = (r - f(r) * pow(fprime(r), -1, m)) % m
-        if f(r) % pk:
-            raise InternalInvariantError("Newton lift failed to reach a root")
-        lifted.append(r)
-    V = [[pow(rho, j, pk) for j in range(n)] for rho in lifted]
-    Vinv = _matrix_inverse_mod(V, pk, p)
-    found = set()
-    for combo in itertools.product(lifted, repeat=n):
-        a = [sum(Vinv[i][t] * combo[t] for t in range(n)) % pk for i in range(n)]
-        c = [_centered(sum(a[t] * K._minv[t][j] for t in range(n)), pk) for j in range(n)]
-        if all(abs(x) <= bound for x in c) and tuple(c) not in found:
-            if _verify_root(K, c):
-                found.add(tuple(c))
-    return len(found)
-
-
-def _matrix_inverse_mod(M, m, p):
-    """Inverse of M over Z/m (m a power of the prime p); pivots are units."""
-    n = len(M)
-    A = [[M[i][j] % m for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if A[i][c] % p)
-        A[c], A[piv] = A[piv], A[c]
-        inv = pow(A[c][c], -1, m)
-        A[c] = [a * inv % m for a in A[c]]
-        for i in range(n):
-            if i != c and A[i][c]:
-                fct = A[i][c]
-                A[i] = [(a - fct * b) % m for a, b in zip(A[i], A[c])]
-    return [row[n:] for row in A]
+    limit = 4 * n * bound * bound
+    # an LLL-reduced basis of a lattice of determinant p^k has |b*_i|
+    # near p^(k/n), so start where p^(2k/n) passes the limit
+    k = 1
+    while p ** (2 * k) <= limit**n:
+        k += 1
+    while True:
+        pk = p**k
+        lifted = []
+        for r in roots_mod_p:
+            m = p
+            while m < pk:
+                m = min(m * m, pk)
+                r = (r - f(r) * pow(fprime(r), -1, m)) % m
+            if f(r) % pk:
+                raise InternalInvariantError("Newton lift failed to reach a root")
+            lifted.append(r)
+        # sigma(omega_j) = rows[j](r_1) / den; den is a unit at unramified p
+        powers = [pow(lifted[0], t, pk) for t in range(n)]
+        inv_den = pow(K._den, -1, pk)
+        sigma = [sum(a * x for a, x in zip(row, powers)) * inv_den % pk for row in K._rows]
+        basis = [[pk] + [0] * (n - 1)]
+        basis += [[-sigma[j]] + [int(t == j) for t in range(1, n)] for j in range(1, n)]
+        reduced, d = lll_reduce(basis)
+        if all(d[i + 1] > limit * d[i] for i in range(n)):
+            break
+        k += 1
+    residue = nearest_plane(reduced, d)
+    count = 0
+    for r in lifted:
+        c = residue([r] + [0] * (n - 1))
+        if all(abs(x) <= bound for x in c) and _verify_root(K, c):
+            count += 1
+    return count
 
 
 def _factor_degree_pattern(f: IntPoly, p: int) -> list[int]:
@@ -665,6 +673,18 @@ def _factor_degree_pattern(f: IntPoly, p: int) -> list[int]:
 _GALOIS_SCAN_CAP = 10**6
 
 
+class GaloisScanExceeded(RuntimeError):
+    """The Galois prime scan reached its cap without a certifying prime."""
+
+    def __init__(self, last_prime: int | None, cap: int):
+        super().__init__(
+            f"is_galois: no certifying prime below the scan cap {cap} "
+            f"(last prime scanned: {last_prime})"
+        )
+        self.last_prime = last_prime
+        self.cap = cap
+
+
 @per_field
 def is_galois(K: NumberField) -> bool:
     """Exact normality test.
@@ -672,7 +692,13 @@ def is_galois(K: NumberField) -> bool:
     Any unramified prime with a mixed residue-degree pattern certifies
     non-Galois.  The first inert prime (or, failing that within a window,
     the first totally split prime) triggers a p-adic count of the roots of
-    f inside O_K; the field is Galois iff all n roots are found.
+    f inside O_K; the field is Galois iff all n roots are found.  Both
+    counts are exact: every root has integral-basis coordinates within
+    _coordinate_bound, the inert route reconstructs each candidate from
+    p^k > 2*bound, the split route reads it off an LLL-reduced lattice
+    whose Gram-Schmidt norms certify that nearest plane returns it (see
+    _count_roots_split), and every candidate is verified in the field.
+    Raises GaloisScanExceeded when no prime below the cap decides.
     """
     n = K.degree
     if n == 2:
@@ -682,8 +708,10 @@ def is_galois(K: NumberField) -> bool:
     bound = _coordinate_bound(K)
     split_candidate = None
     patience = 0
+    last = None
     p = 2
     while p < _GALOIS_SCAN_CAP:
+        last = p
         if disc_f % p:
             pattern = _factor_degree_pattern(f, p)
             if len(set(pattern)) > 1:
@@ -702,4 +730,4 @@ def is_galois(K: NumberField) -> bool:
         p = 3 if p == 2 else p + 2
         while not is_prime(p):
             p += 2
-    raise RuntimeError("Galois scan exceeded the prime cap")
+    raise GaloisScanExceeded(last, _GALOIS_SCAN_CAP)

@@ -41,3 +41,25 @@ def test_bench_layers_resolve_to_callables():
         if not callable(getattr(mod, func, None)):
             missing.append(f"nftrace.{module}.{func}")
     assert missing == []
+
+
+# integer-only kernels: Gram-Schmidt data is carried as Gram determinants
+_INTEGER_ONLY = {
+    "_linalg.py": ("lll_reduce", "nearest_plane"),
+    "numberfield.py": ("_count_roots_split",),
+}
+
+
+def test_lattice_kernels_use_no_fraction():
+    found = []
+    for filename, names in _INTEGER_ONLY.items():
+        path = SRC / filename
+        tree = ast.parse(path.read_text(), str(path))
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            for node in ast.walk(defs[name]):
+                if (isinstance(node, ast.Name) and node.id == "Fraction") or (
+                    isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                ):
+                    found.append(f"{filename}:{name}:{node.lineno}")
+    assert found == []

@@ -274,7 +274,8 @@ def test_is_galois_v4_quartic():
 def test_is_galois_more_known_fields():
     # cyclotomic C4 quintic field, biquadratic V4, and the S3-regular
     # sextic x^6 + 108 (splitting field of x^3 - 2, again without inert
-    # primes and this time with the 6^6 tuple search)
+    # primes, so its six roots come from the lattice count at a totally
+    # split prime)
     z5 = new_field(IntPoly([1, 1, 1, 1, 1]))
     assert z5.disc == 125 and is_galois(z5)
     v4 = new_field(IntPoly([1, 0, -10, 0, 1]))  # sqrt2 + sqrt3
