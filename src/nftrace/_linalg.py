@@ -18,8 +18,42 @@ def int_det(mat) -> int:
     return _bareiss_det([list(r) for r in mat])
 
 
+def int_adjugate(M):
+    """(det M, adj M) of a nonsingular square integer matrix.
+
+    Fraction-free Gauss-Jordan on [M | I] (Bareiss's exact division, so
+    every entry stays a minor): at the end the left half is d*I with
+    d = +-det M and the right half is d * M^-1.  Raises ValueError when M
+    is singular.
+    """
+    n = len(M)
+    A = [list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    sign, prev = 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            sign = -sign
+        pc = A[c]
+        a = pc[c]
+        for i in range(n):
+            if i != c:
+                row = A[i]
+                b = row[c]
+                A[i] = [(a * x - b * y) // prev for x, y in zip(row, pc)]
+        prev = a
+    return sign * prev, [[sign * x for x in row[n:]] for row in A]
+
+
 def frac_matrix_inverse(M):
-    """Inverse of a nonsingular matrix over Fraction."""
+    """Inverse of a nonsingular matrix over Fraction.
+
+    No module of the package calls it.  It stays as the Fraction reference
+    that the tests hold int_adjugate and the order arithmetic to, and the
+    layer table of bench/spans.py still names it.
+    """
     n = len(M)
     A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]

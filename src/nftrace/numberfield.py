@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nftrace._linalg import (
-    frac_matrix_inverse,
     hnf_rows,
+    int_adjugate,
     int_det,
     lattice_coords,
     lll_reduce,
@@ -524,19 +524,27 @@ def is_fundamental_disc(d: int | Factorization) -> bool:
 def _coordinate_bound(K: NumberField) -> int:
     """Exact bound on integral-basis coordinates of any root of f in O_K.
 
-    Conjugates of a root are bounded by the Cauchy bound B of f; the trace
-    pairing then bounds the coordinates through the inverse Gram matrix.
+    A root alpha = sum c_j omega_j solves G c = (Tr(alpha omega_k))_k with
+    G the trace Gram matrix, whose inverse is read off the integer
+    adjugate.  For a totally real K, G is positive definite and
+    c^T G c = Tr(alpha^2) = T2 = a_(n-1)^2 - 2 a_(n-2), the second power sum
+    of the roots of f, so Cauchy-Schwarz in the G-norm gives
+    c_j^2 <= T2 (G^-1)_jj.  Otherwise the conjugates of a root are bounded by
+    the Cauchy bound B of f, each |Tr(alpha omega_k)| by n B sum_t |M_kt| B^t
+    for the basis rows M, and c through the L1 rows of G^-1.
     """
     f = K.defining_poly
     n = K.degree
-    B = Fraction(1 + max([abs(c) for c in f.coeffs[:-1]] or [0]))
-    M = K.integral_basis
-    Bj = [sum(abs(M[j][k]) * B**k for k in range(n)) for j in range(n)]
-    G = trace_gram(K)
-    Ginv = frac_matrix_inverse([list(r) for r in G.entries])
-    tb = [n * B * b for b in Bj]
-    C = max(sum(abs(Ginv[j][k]) * tb[k] for k in range(n)) for j in range(n))
-    return int(C) + 1
+    det, adj = int_adjugate([list(r) for r in trace_gram(K).entries])
+    a = f.coeffs
+    if K.is_totally_real:
+        t2 = a[n - 1] ** 2 - 2 * a[n - 2]
+        return max(math.isqrt(t2 * adj[j][j] // det) for j in range(n)) + 1
+    B = 1 + max(abs(c) for c in a[:-1])
+    # den * n * B * (bound on every conjugate of omega_k)
+    tb = [n * B * sum(abs(x) * B**t for t, x in enumerate(row)) for row in K._rows]
+    C = max(sum(abs(x) * t for x, t in zip(row, tb)) for row in adj)
+    return C // (K._den * abs(det)) + 1
 
 
 def _poly_eval_mod(g: IntPoly, r: list[int], fb: list[int], m: int) -> list[int]:
@@ -548,58 +556,79 @@ def _poly_eval_mod(g: IntPoly, r: list[int], fb: list[int], m: int) -> list[int]
 
 
 def _verify_root(K: NumberField, coords: list[int]) -> bool:
-    """Is the element with these integral-basis coordinates a root of f?"""
+    """Is the element with these integral-basis coordinates a root of f?
+
+    Tr(alpha) = -a_(n-1) for every root alpha of f; that O(n) test rejects
+    almost every wrong candidate before f(alpha) is evaluated in the field.
+    """
+    f = K.defining_poly
+    if sum(c * t for c, t in zip(coords, K._trace_vec)) != -f.coeffs[-2]:
+        return False
     acc = [0] * K.degree
-    for c in reversed(K.defining_poly.coeffs):
+    for c in reversed(f.coeffs):
         acc = _alg_mul(K._mult, acc, coords)
         acc[0] += c  # omega_1 = 1
     return not any(acc)
 
 
-def _count_roots_inert(K: NumberField, p: int, bound: int) -> int:
-    """Roots of f in O_K, certified p-adically at an inert prime.
+def _inert_lifts(f: IntPoly, r0: list[int], p: int, pk: int):
+    """Yield (r, m) with f(r) = 0 in Z[x]/(m, f), for m = p, p^2, p^4, ... up to pk.
 
-    Candidates are the Frobenius orbit of x in F_p[x]/(f), Newton-lifted to
-    Z[x]/(p^k, f) with p^k > 2*bound; each reconstructed candidate is
-    verified exactly in the field.
+    r0 is a root of f in F_p[x]/(f) at an inert prime p, and each step is
+    one Newton iteration, which doubles the p-adic precision.  The
+    inverse of f'(r) is carried along by its own Newton iteration, and is
+    only computed once a lift is asked for.
+    """
+    r, m = list(r0), p
+    yield r, m
+    fprime = f.derivative()
+    fb = gf_from_intpoly(f, p)
+    u, _, g = gf_gcdex(_poly_eval_mod(fprime, r, fb, p), fb, p)
+    if g != [1]:
+        raise InternalInvariantError("f'(root) not invertible at inert prime")
+    while m < pk:
+        m = min(m * m, pk)
+        fm = gf_from_intpoly(f, m)
+        fr = _poly_eval_mod(f, r, fm, m)
+        r = gf_sub(r, gf_rem(gf_mul(fr, u, m), fm, m), m)
+        fpr = _poly_eval_mod(fprime, r, fm, m)
+        corr = gf_sub([2], gf_rem(gf_mul(fpr, u, m), fm, m), m)
+        u = gf_rem(gf_mul(u, corr, m), fm, m)
+        if m == pk and _poly_eval_mod(f, r, fm, m):
+            raise InternalInvariantError("Newton lift failed to reach a root")
+        yield r, m
+
+
+def _all_roots_inert(K: NumberField, p: int, bound: int) -> bool:
+    """Does f have all n roots in O_K?  Decided p-adically at an inert prime.
+
+    O_K/p is F_p[x]/(f), so each root of f in O_K reduces to one of the n
+    elements of the Frobenius orbit of x, and distinct roots to distinct
+    ones.  Each orbit element is read as basis coordinates centred mod m
+    for m = p, p^2, p^4, ... of its Newton lift, and the first candidate
+    that _verify_root accepts is its root.  A root's coordinates lie within
+    bound, so once m passes 2*bound the candidate is the only one it could
+    be; if that fails too, the element lifts to no root and the answer is
+    False.
     """
     f = K.defining_poly
     n = K.degree
-    k = 1
-    while p**k <= 2 * bound:
-        k += 1
-    pk = p**k
+    pk = p
+    while pk <= 2 * bound:
+        pk *= p
     fb = gf_from_intpoly(f, p)
-    fprime = f.derivative()
-    # Frobenius orbit of the image of theta
     orbit = [[0, 1]]
     for _ in range(n - 1):
         orbit.append(gf_pow_mod(orbit[-1], p, fb, p))
-    found = set()
     for r0 in orbit:
-        r = list(r0)
-        d0 = _poly_eval_mod(fprime, r, fb, p)
-        s, _, g = gf_gcdex(d0, fb, p)
-        if g != [1]:
-            raise InternalInvariantError("f'(root) not invertible at inert prime")
-        u = s
-        m = p
-        while m < pk:
-            m = min(m * m, pk)
-            fm = gf_from_intpoly(f, m)
-            fr = _poly_eval_mod(f, r, fm, m)
-            r = gf_sub(r, gf_rem(gf_mul(fr, u, m), fm, m), m)
-            fpr = _poly_eval_mod(fprime, r, fm, m)
-            corr = gf_sub([2], gf_rem(gf_mul(fpr, u, m), fm, m), m)
-            u = gf_rem(gf_mul(u, corr, m), fm, m)
-        if _poly_eval_mod(f, r, gf_from_intpoly(f, pk), pk):
-            raise InternalInvariantError("Newton lift failed to reach a root")
-        # power coords mod p^k -> integral basis coords
-        a = list(r) + [0] * (n - len(r))
-        c = [_centered(sum(a[t] * K._minv[t][j] for t in range(n)), pk) for j in range(n)]
-        if all(abs(x) <= bound for x in c) and _verify_root(K, c):
-            found.add(tuple(c))
-    return len(found)
+        for r, m in _inert_lifts(f, r0, p, pk):
+            a = list(r) + [0] * (n - len(r))
+            c = [_centered(sum(a[t] * K._minv[t][j] for t in range(n)), m) for j in range(n)]
+            if _verify_root(K, c):
+                break
+        else:
+            return False
+    return True
 
 
 def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
@@ -609,13 +638,18 @@ def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
     sum c_j omega_j of f to one of the n roots r_i of f in Z_p.  So, with
     the r_i lifted to p^k, c lies in the coset r_i*e_1 + L of the lattice
     L = {c : sum c_j sigma(omega_j) = 0 mod p^k}, and |c_j| <= bound.  L is
-    LLL-reduced once, and k is accepted only when every Gram-Schmidt vector
+    LLL-reduced, and the count is certified once every Gram-Schmidt vector
     has |b*_i|^2 > 4*n*bound^2 (d[i+1] > 4*n*bound^2*d[i] in integers).
     Then two points of one coset in the bound box would differ by a
     nonzero vector of L shorter than every |b*_i|, so each coset holds at
     most one such point; that point has every Gram-Schmidt coordinate
     below 1/2 in size, so nearest plane from r_i*e_1 returns it.  Each
     candidate inside the bound is verified exactly, so the count is exact.
+
+    Roots are usually far shorter than the bound, so k starts where
+    |b*_i|^2 > 4*n holds on average, and doubles towards the certified
+    precision.  Distinct r_i give distinct roots, so once all n residues
+    verify the count is n, with no certificate needed.
     """
     f = K.defining_poly
     n = K.degree
@@ -627,9 +661,12 @@ def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
     fprime = f.derivative()
     limit = 4 * n * bound * bound
     # an LLL-reduced basis of a lattice of determinant p^k has |b*_i|
-    # near p^(k/n), so start where p^(2k/n) passes the limit
+    # near p^(k/n), so the certified start is where p^(2k/n) passes the limit
+    k_cert = 1
+    while p ** (2 * k_cert) <= limit**n:
+        k_cert += 1
     k = 1
-    while p ** (2 * k) <= limit**n:
+    while k < k_cert and p ** (2 * k) <= (4 * n) ** n:
         k += 1
     while True:
         pk = p**k
@@ -649,10 +686,15 @@ def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
         basis = [[pk] + [0] * (n - 1)]
         basis += [[-sigma[j]] + [int(t == j) for t in range(1, n)] for j in range(1, n)]
         reduced, d = lll_reduce(basis)
+        residue = nearest_plane(reduced, d)
         if all(d[i + 1] > limit * d[i] for i in range(n)):
             break
-        k += 1
-    residue = nearest_plane(reduced, d)
+        if k < k_cert:
+            if all(_verify_root(K, residue([r] + [0] * (n - 1))) for r in lifted):
+                return n
+            k = min(2 * k, k_cert)
+        else:
+            k += 1
     count = 0
     for r in lifted:
         c = residue([r] + [0] * (n - 1))
@@ -691,13 +733,16 @@ def is_galois(K: NumberField) -> bool:
 
     Any unramified prime with a mixed residue-degree pattern certifies
     non-Galois.  The first inert prime (or, failing that within a window,
-    the first totally split prime) triggers a p-adic count of the roots of
-    f inside O_K; the field is Galois iff all n roots are found.  Both
-    counts are exact: every root has integral-basis coordinates within
-    _coordinate_bound, the inert route reconstructs each candidate from
-    p^k > 2*bound, the split route reads it off an LLL-reduced lattice
-    whose Gram-Schmidt norms certify that nearest plane returns it (see
-    _count_roots_split), and every candidate is verified in the field.
+    the first totally split prime) triggers a p-adic search for the roots
+    of f inside O_K; the field is Galois iff all n roots are found.  The
+    search is witness-first: distinct p-adic roots give distinct roots in
+    O_K and n is the most there can be, so n candidates verified in the
+    field certify True at whatever precision they appear, usually the
+    lowest.  _coordinate_bound is used only to refute: every root has
+    integral-basis coordinates within it, so the inert route proves a root
+    absent once p^k > 2*bound, and the split route once its LLL-reduced
+    lattice has Gram-Schmidt norms that make nearest plane return every
+    root (see _count_roots_split).
     Raises GaloisScanExceeded when no prime below the cap decides.
     """
     n = K.degree
@@ -705,7 +750,6 @@ def is_galois(K: NumberField) -> bool:
         return True
     f = K.defining_poly
     disc_f = K.index**2 * K.disc
-    bound = _coordinate_bound(K)
     split_candidate = None
     patience = 0
     last = None
@@ -718,15 +762,15 @@ def is_galois(K: NumberField) -> bool:
                 return False
             d = pattern[0]
             if d == n:
-                return _count_roots_inert(K, p, bound) == n
+                return _all_roots_inert(K, p, _coordinate_bound(K))
             if d == 1:
                 if n <= 5:
-                    return _count_roots_split(K, p, bound) == n
+                    return _count_roots_split(K, p, _coordinate_bound(K)) == n
                 split_candidate = split_candidate or p
             if split_candidate is not None:
                 patience += 1
                 if patience > 25:
-                    return _count_roots_split(K, split_candidate, bound) == n
+                    return _count_roots_split(K, split_candidate, _coordinate_bound(K)) == n
         p = 3 if p == 2 else p + 2
         while not is_prime(p):
             p += 2

@@ -12,13 +12,17 @@ primes dividing some entry.  The entries are never multiplied together and
 factored.  Their numerators and denominators go through one factor
 refinement (`exact.factor_integers`): known primes are divided out, the
 cofactors are split into pairwise coprime parts by gcds, and only those
-parts are factored.  For the trace form this is cheap.  Symmetric
-elimination gives entries d_k = D_k / D_{k-1} from the leading principal
-minors D_k, so each prime of D_k (k < n) sits in two neighbouring entries
-and gcds isolate it, and D_n = disc(K), whose primes the field already
-holds.  Off the support every entry is a p-unit at an odd p, so every
-symbol (a_i, a_j)_p and hence h_p is +1; the profile is therefore exact at
-every place, and `trace_hasse` reads h_p from the per-field profile.
+parts are factored.  Symmetric elimination gives entries
+d_k = D_k / D_{k-1} from the leading principal minors D_k, so each prime of
+D_k (k < n) sits in two neighbouring entries and gcds isolate it, and
+D_n = disc(K), whose primes the field already holds.  The refinement
+isolates each D_k but still has to factor it, which is cheap at low degree
+only: at degree 10-12 the minors have 70-100 digits and prime factors
+unrelated to disc(K), and the profile of a single field has taken from 13 s
+to over 30 s (ROADMAP item 11).  Off the support every entry is a p-unit
+at an odd p, so every symbol (a_i, a_j)_p and hence h_p is +1; the profile
+is therefore exact at every place, and `trace_hasse` reads h_p from the
+per-field profile.
 """
 
 from __future__ import annotations

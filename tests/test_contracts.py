@@ -43,10 +43,11 @@ def test_bench_layers_resolve_to_callables():
     assert missing == []
 
 
-# integer-only kernels: Gram-Schmidt data is carried as Gram determinants
+# integer-only kernels: Gram-Schmidt data is carried as Gram determinants,
+# and the Gram inverse of the coordinate bound as the integer adjugate
 _INTEGER_ONLY = {
-    "_linalg.py": ("lll_reduce", "nearest_plane"),
-    "numberfield.py": ("_count_roots_split",),
+    "_linalg.py": ("lll_reduce", "nearest_plane", "int_adjugate"),
+    "numberfield.py": ("_count_roots_split", "_all_roots_inert", "_coordinate_bound"),
 }
 
 

@@ -1,4 +1,5 @@
-"""Lattice kernels: integral LLL and nearest plane, checked exactly.
+"""Lattice kernels: integral LLL and nearest plane, checked exactly, and
+the fraction-free adjugate against the Fraction inverse.
 
 The checker recomputes Gram-Schmidt in Fraction and tests the LLL
 conditions with delta = 3/4; sympy's DomainMatrix.lll output on the same
@@ -10,7 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from nftrace._linalg import hnf_rows, in_row_lattice, int_det, lll_reduce, nearest_plane
+from nftrace._linalg import (
+    frac_matrix_inverse,
+    hnf_rows,
+    in_row_lattice,
+    int_adjugate,
+    int_det,
+    lll_reduce,
+    nearest_plane,
+)
 
 
 def _gram_schmidt(rows):
@@ -134,3 +143,40 @@ def test_nearest_plane_returns_a_short_coset_member():
             assert residue(far) == short
             checked += 1
     assert checked >= 20
+
+
+def _adjugate_cases(seed):
+    """Seeded nonsingular integer matrices of dimension 1-12, sparse enough
+    that leading pivots are often zero, with both signs of determinant."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 13):
+        for _ in range(6):
+            scale = 10 ** rng.randint(0, 8)
+            while True:
+                M = [[rng.randint(-scale, scale) if rng.random() < 0.6 else 0 for _ in range(n)]
+                     for _ in range(n)]
+                if int_det(M):
+                    break
+            out.append(M)
+    out.append([[0, 1], [1, 0]])  # zero first pivot, det -1
+    out.append([[0, 0, 2], [0, 3, 0], [5, 0, 0]])  # two swaps needed, det -30
+    return out
+
+
+def test_int_adjugate_is_det_times_the_inverse():
+    cases = _adjugate_cases(21)
+    assert any(M[0][0] == 0 for M in cases)
+    assert any(int_det(M) < 0 for M in cases)
+    for M in cases:
+        d, adj = int_adjugate(M)
+        assert d == int_det(M)
+        inv = frac_matrix_inverse(M)
+        assert adj == [[d * x for x in row] for row in inv]
+
+
+def test_int_adjugate_rejects_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        int_adjugate([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        int_adjugate([[0, 0], [0, 5]])
