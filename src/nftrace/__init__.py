@@ -18,7 +18,6 @@ from nftrace.exact import (
 )
 from nftrace.numberfield import (
     FieldConstructionError,
-    FieldElement,
     GaloisScanExceeded,
     GramMatrix,
     NumberField,
@@ -70,7 +69,6 @@ __all__ = [
     "DiagonalForm",
     "Factorization",
     "FieldConstructionError",
-    "FieldElement",
     "GaloisScanExceeded",
     "GenusComparison",
     "GramMatrix",

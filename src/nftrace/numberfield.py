@@ -1,11 +1,18 @@
 """Number fields: maximal order, discriminant, signature, trace form.
 
 A field is built from a monic irreducible polynomial.  The maximal order
-comes from the Round-2 procedure: at every prime p whose square divides
-disc(f), the order is repeatedly enlarged through the ring of multipliers
-of its p-radical until it is p-maximal; the per-prime results are then
-summed.  The Dedekind criterion is run at every such prime as an
-independent certificate that enlargement was (or was not) required.
+comes from the Round-2 procedure, run at every prime p whose square
+divides disc(f).  It starts from the order spanned by the theta^j /
+p^floor(j*lam), where lam is the least slope of the p-adic Newton polygon
+of f (Ore's bound: every root has valuation >= lam), and enlarges it
+through the ring of multipliers of its p-radical only while p^2 divides
+disc(O) = disc(f) / [O : Z[theta]]^2; once it does not, p cannot divide
+[O_K : O] (Cohen, A Course in Computational Algebraic Number Theory,
+6.1).  The per-prime results are then summed.  The Dedekind criterion is
+run at every such prime as an independent check: Round-2 must return
+Z[theta] at p exactly when Dedekind finds Z[theta] p-maximal, whether it
+stopped on the discriminant or on an enlargement that found nothing, and
+a Newton start above Z[theta] must meet a Dedekind failure.
 
 An order is held as (den, rows): integer rows, lower triangular with
 positive diagonal, such that omega_i = rows[i] / den in the power basis
@@ -175,13 +182,19 @@ def _alg_mul(C, a, b):
 
 
 def _alg_pow(mult, one, v, e):
-    """v^e by square-and-multiply under the multiplication `mult`."""
-    result, base = one, v
-    while e:
-        if e & 1:
-            result = mult(result, base)
-        base = mult(base, base)
-        e >>= 1
+    """v^e by left-to-right square-and-multiply under the multiplication `mult`.
+
+    Each step multiplies by v itself, which is cheap when v is sparse (a
+    basis vector); there is no squaring after the last bit and no product
+    with `one`, so v^2 costs one multiply.
+    """
+    if not e:
+        return one
+    result = v
+    for bit in bin(e)[3:]:
+        result = mult(result, result)
+        if bit == "1":
+            result = mult(result, v)
     return result
 
 
@@ -251,15 +264,62 @@ def _enlarge_at_p(f: IntPoly, den: int, rows: list[list[int]], p: int):
     return _canonical_basis(den * p, new_rows)
 
 
-def _p_maximal_order(f: IntPoly, p: int):
-    """p-maximal order containing Z[theta], by iterated enlargement."""
+def _newton_start(f: IntPoly, p: int):
+    """The order spanned by theta^j / p^floor(j*lam), as (den, rows).
+
+    lam = min_k v_p(a_(n-k)) / k is the least slope of the p-adic Newton
+    polygon of f, so every root has valuation >= lam and each theta^j /
+    p^floor(j*lam) is integral.  Their span is closed under multiplication
+    because floor(m*lam) - floor(j*lam) <= ceil((m-j)*lam); _mult_table
+    still checks closure exactly.  lam is kept as the integer pair (v, k).
+    """
     n = f.degree
-    den, rows = 1, [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    a = f.coeffs
+    v, k = 1, 0  # lam = v / k, starting at infinity
+    for kk in range(1, n + 1):
+        if a[n - kk]:
+            vv = _valuation(a[n - kk], p)
+            if vv * k < v * kk:
+                v, k = vv, kk
+    top = (n - 1) * v // k
+    rows = [[p ** (top - j * v // k) if i == j else 0 for j in range(n)] for i in range(n)]
+    return p**top, rows
+
+
+def _p_maximal_order(f: IntPoly, p: int, disc_exp: int):
+    """p-maximal order containing Z[theta], by iterated enlargement.
+
+    disc_exp is v_p(disc f).  The iteration starts at the Newton-polygon
+    order of _newton_start instead of Z[theta], and stops as soon as
+    v_p(disc O) = disc_exp - 2 v_p([O : Z[theta]]) is below 2: then p does
+    not divide [O_K : O], so O is already p-maximal.  Otherwise O is
+    enlarged through the multiplier ring of its p-radical, and an
+    enlargement that finds nothing proves O p-maximal.  The start is
+    Z[theta] exactly when floor((n-1)*lam) = 0, so den = 1 on return still
+    means that Z[theta] is p-maximal.  The Dedekind cross-check in
+    _maximal_order decides that independently, so it certifies the
+    discriminant stop whenever the stop returns Z[theta], and the Newton
+    start whenever the start lies above Z[theta].
+    """
+    n = f.degree
+    den, rows = _newton_start(f, p)
     while True:
+        index = den**n // math.prod(rows[i][i] for i in range(n))
+        if disc_exp - 2 * _valuation(index, p) < 2:
+            return den, rows
         nxt = _enlarge_at_p(f, den, rows, p)
         if nxt is None:
             return den, rows
         den, rows = nxt
+
+
+def _valuation(m: int, p: int) -> int:
+    """v_p(m) for m != 0."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 def dedekind_p_maximal(f: IntPoly, p: int) -> bool:
@@ -290,10 +350,11 @@ def dedekind_p_maximal(f: IntPoly, p: int) -> bool:
 def _maximal_order(f: IntPoly, disc_f_fac: Factorization):
     """Maximal order as (den, rows, index); Dedekind cross-check included."""
     n = f.degree
-    bad = [p for p, e in disc_f_fac if e >= 2]
     parts = []
-    for p in bad:
-        den_p, rows_p = _p_maximal_order(f, p)
+    for p, e in disc_f_fac:
+        if e < 2:
+            continue
+        den_p, rows_p = _p_maximal_order(f, p, e)
         if dedekind_p_maximal(f, p) != (den_p == 1):
             raise InternalInvariantError(
                 f"Dedekind criterion disagrees with Round-2 at p={p}"
@@ -377,12 +438,6 @@ class NumberField:
     def is_totally_real(self) -> bool:
         return self.r2 == 0
 
-    def element(self, coords) -> "FieldElement":
-        return FieldElement(self, tuple(Fraction(c) for c in coords))
-
-    def one(self) -> "FieldElement":
-        return self.element([1] + [0] * (self.degree - 1))
-
     def __repr__(self):
         return f"NumberField({self.defining_poly}, disc={self.disc})"
 
@@ -399,42 +454,6 @@ def per_field(fn):
         return memo[key]
 
     return memoized
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a field in integral-basis coordinates."""
-
-    field: NumberField
-    coords: tuple[Fraction, ...]
-
-    def __add__(self, other):
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, tuple(a * other for a in self.coords))
-        out = _alg_mul(self.field._mult, self.coords, other.coords)
-        return FieldElement(self.field, tuple(Fraction(c) for c in out))
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def trace(self) -> Fraction:
-        return sum(c * t for c, t in zip(self.coords, self.field._trace_vec))
-
-    def is_integral_coords(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
 
 
 def _disc_factorization(disc_f_fac: Factorization, index: int) -> Factorization:

@@ -1,9 +1,12 @@
-"""Shared corpus of fields from the literature examples, built once."""
+"""Shared corpus of fields from the literature examples, built once, and a
+rational field-element oracle."""
 
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from nftrace.exact import IntPoly
-from nftrace.numberfield import new_field
+from nftrace.numberfield import NumberField, _alg_mul, new_field
 
 # ascending coefficient lists
 CORPUS = {
@@ -41,3 +44,30 @@ def poly(name: str) -> IntPoly:
 @lru_cache(maxsize=None)
 def field(name: str):
     return new_field(poly(name))
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """Element of a field in integral-basis coordinates, with Fraction
+    arithmetic: the test-side oracle for products and traces."""
+
+    field: NumberField
+    coords: tuple[Fraction, ...]
+
+    def __mul__(self, other):
+        out = _alg_mul(self.field._mult, self.coords, other.coords)
+        return FieldElement(self.field, tuple(Fraction(c) for c in out))
+
+    def trace(self) -> Fraction:
+        return sum(c * t for c, t in zip(self.coords, self.field._trace_vec))
+
+    def is_integral_coords(self) -> bool:
+        return all(c.denominator == 1 for c in self.coords)
+
+
+def element(K: NumberField, coords) -> FieldElement:
+    return FieldElement(K, tuple(Fraction(c) for c in coords))
+
+
+def one(K: NumberField) -> FieldElement:
+    return element(K, [1] + [0] * (K.degree - 1))

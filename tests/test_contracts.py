@@ -44,10 +44,17 @@ def test_bench_layers_resolve_to_callables():
 
 
 # integer-only kernels: Gram-Schmidt data is carried as Gram determinants,
-# and the Gram inverse of the coordinate bound as the integer adjugate
+# the Gram inverse of the coordinate bound as the integer adjugate, and the
+# Newton slope of the Round-2 start as an integer pair
 _INTEGER_ONLY = {
     "_linalg.py": ("lll_reduce", "nearest_plane", "int_adjugate"),
-    "numberfield.py": ("_count_roots_split", "_all_roots_inert", "_coordinate_bound"),
+    "numberfield.py": (
+        "_count_roots_split",
+        "_all_roots_inert",
+        "_coordinate_bound",
+        "_newton_start",
+        "_p_maximal_order",
+    ),
 }
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import field, poly
+from conftest import element, field, one, poly
 from nftrace.exact import IntPoly, factor_integer, factor_poly, poly_discriminant
 from nftrace.numberfield import (
     FieldConstructionError,
@@ -116,8 +116,8 @@ def test_mult_table_closure_random_products():
     K = field("K4")
     rng = random.Random(3)
     for _ in range(20):
-        a = K.element([rng.randint(-5, 5) for _ in range(4)])
-        b = K.element([rng.randint(-5, 5) for _ in range(4)])
+        a = element(K, [rng.randint(-5, 5) for _ in range(4)])
+        b = element(K, [rng.randint(-5, 5) for _ in range(4)])
         prod = a * b
         assert prod.is_integral_coords()
 
@@ -163,9 +163,8 @@ def test_per_field_memo_lives_with_the_field():
 
 def test_element_trace():
     K = field("gauss")
-    one = K.one()
-    i = K.element([0, 1])
-    assert one.trace() == 2
+    i = element(K, [0, 1])
+    assert one(K).trace() == 2
     assert i.trace() == 0
     assert (i * i).trace() == -2
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import field, poly
+from conftest import element, field, one, poly
 from nftrace._linalg import frac_matrix_inverse
 from nftrace.exact import IntPoly, factor_integer, factor_poly, poly_discriminant
 from nftrace.numberfield import new_field
@@ -132,9 +132,9 @@ def test_index_prime_splittings_consistent():
 def _minpoly_of_element(K, coords):
     """Minimal polynomial of an element via exact power-dependence."""
     n = K.degree
-    alpha = K.element(coords)
+    alpha = element(K, coords)
     rows = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
-    cur = K.one()
+    cur = one(K)
     while True:
         cur = cur * alpha
         # solve: cur in span(rows)?
