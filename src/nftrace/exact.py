@@ -1,10 +1,12 @@
-"""Exact integer/rational arithmetic kernel.
+"""Exact integer arithmetic kernel.
 
 Everything downstream (orders, splittings, trace forms) runs on the
 primitives in this module: arbitrary-precision integer factorization with
 certified prime factors, dense univariate integer polynomials, polynomial
 factorization over Z and over F_p, and Sturm-chain real root counting.
-No floating point is used anywhere.
+No floating point and no fractions are used: exact division, gcds and
+Sturm chains run on integer long division and primitive pseudo-remainder
+sequences.
 
 Polynomials are coefficient lists in ascending degree order, wrapped in the
 immutable :class:`IntPoly`.  The Z/m toolkit (gf_*) works on plain lists
@@ -18,7 +20,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class InternalInvariantError(RuntimeError):
@@ -487,13 +488,30 @@ class IntPoly:
         return IntPoly([a // c for a in self.coeffs])
 
     def divmod_exact(self, other: "IntPoly"):
-        """Polynomial division when it is exact over Z, else None."""
-        q, r = _frac_divmod(_to_frac(self), _to_frac(other))
-        if any(r):
+        """Polynomial division when it is exact over Z, else None.
+
+        Integer long division that gives up at the first leading
+        coefficient lc(other) does not divide: that quotient coefficient
+        is already not an integer.
+        """
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        a = list(self.coeffs)
+        db, lb = len(b) - 1, b[-1]
+        q = [0] * max(len(a) - db, 0)
+        for d in range(len(q) - 1, -1, -1):
+            c = a[d + db]
+            if c:
+                c, r = divmod(c, lb)
+                if r:
+                    return None
+                q[d] = c
+                for i, bc in enumerate(b, d):
+                    a[i] -= c * bc
+        if any(a[:db]):
             return None
-        if any(c.denominator != 1 for c in q):
-            return None
-        return IntPoly([int(c) for c in q])
+        return IntPoly(q)
 
     def is_squarefree(self) -> bool:
         if self.degree < 1:
@@ -525,46 +543,42 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-def _to_frac(f: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in f.coeffs]
+def _pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(r, s) with lc(b)^m * a = q*b + r, deg r < deg b, over Z.
 
-
-def _frac_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of Fraction coefficient lists."""
-    b = _frac_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = _frac_trim(list(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bc in enumerate(b):
-            a[d + i] -= c * bc
-        _frac_trim(a)
-    return q, a
+    Each of the m steps scales the running remainder by lc(b) and cancels
+    its leading term; m counts only the steps taken (at most
+    deg a - deg b + 1), so r is lc(b)^m times the remainder over Q and
+    s = sign(lc(b))^m.  Both lists ascend and are trimmed; b is nonzero.
+    """
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    s = 1
+    while len(r) > db:
+        c = r[-1]
+        shift = len(r) - 1 - db
+        r = [lb * x for x in r]
+        for i, bc in enumerate(b, shift):
+            r[i] -= c * bc
+        if lb < 0:
+            s = -s
+        while r and not r[-1]:
+            r.pop()
+    return r, s
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive GCD over Z with positive leading coefficient."""
-    a, b = _to_frac(f), _to_frac(g)
-    while _frac_trim(list(b)):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    a = _frac_trim(a)
-    if not a:
-        return IntPoly([])
-    den = math.lcm(*[c.denominator for c in a])
-    ints = IntPoly([int(c * den) for c in a]).primitive()
-    return ints if ints.lc > 0 else -ints
+    """Primitive GCD over Z with positive leading coefficient.
+
+    Primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967; Cohen,
+    Alg. 3.3.1): each remainder is made primitive before the next step, so
+    the coefficients stay as small as the gcd over Q allows and no
+    fractions arise.
+    """
+    a, b = f.primitive(), g.primitive()
+    while b.coeffs:
+        a, b = b, IntPoly(_pseudo_rem(a.coeffs, b.coeffs)[0]).primitive()
+    return a
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -635,29 +649,41 @@ def _sign_variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
+def _sturm_chain(f: IntPoly) -> list[list[int]]:
+    """Primitive Sturm chain of f: f, f', then each entry the primitive part
+    of -rem(previous two) over Q, as ascending coefficient lists.
+
+    The remainders come from `_pseudo_rem`, whose sign s = sign(lc)^m over
+    the steps it took tells how to turn the pseudo-remainder into a positive
+    multiple of -rem; the sign is all Sturm's theorem reads.
+    """
+    chain = [list(f.coeffs), list(f.derivative().coeffs)]
+    while len(chain[-1]) > 1:
+        r, s = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        g = -s * math.gcd(*r)
+        chain.append([c // g for c in r])
+    return chain
+
+
 def count_real_roots(f: IntPoly) -> int:
     """Number of distinct real roots of a squarefree polynomial.
 
     Sturm's theorem over the whole line: the chain's sign variations at
     -inf and +inf are read off leading coefficients, so no root bound is
-    needed and no floating point enters.
+    needed and no floating point enters.  The chain is a primitive
+    pseudo-remainder sequence over Z (`_sturm_chain`): each entry is the
+    positive multiple of the rational Sturm remainder with coprime integer
+    coefficients.
     """
     if f.degree < 1:
         raise ValueError("root counting needs degree >= 1")
-    if not f.is_squarefree():
+    chain = _sturm_chain(f)
+    if len(chain[-1]) > 1:  # the last entry is gcd(f, f') up to a constant
         raise ValueError("polynomial must be squarefree")
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        a, b = _to_frac(chain[-2]), _to_frac(chain[-1])
-        _, r = _frac_divmod(a, b)
-        if not r:
-            break
-        den = math.lcm(*[c.denominator for c in r])
-        rem = IntPoly([int(-c * den) for c in r])
-        g = abs(rem.content())
-        chain.append(IntPoly([c // g for c in rem.coeffs]))
-    at_pos = [1 if g.lc > 0 else -1 for g in chain]
-    at_neg = [s * (-1) ** (g.degree % 2) for s, g in zip(at_pos, chain)]
+    at_pos = [1 if c[-1] > 0 else -1 for c in chain]
+    at_neg = [s * (-1) ** ((len(c) - 1) % 2) for s, c in zip(at_pos, chain)]
     return _sign_variations(at_neg) - _sign_variations(at_pos)
 
 
@@ -953,7 +979,8 @@ def _zassenhaus_monic_squarefree(f: IntPoly) -> list[IntPoly]:
     if n == 1:
         return [f]
     # choose the reduction prime among the first few with f squarefree mod p,
-    # minimizing the modular factor count
+    # minimizing the modular factor count; f is irreducible as soon as one
+    # of them leaves it irreducible mod p
     candidates = []
     p = 2
     while len(candidates) < 5:
@@ -967,10 +994,10 @@ def _zassenhaus_monic_squarefree(f: IntPoly) -> list[IntPoly]:
         count = sum(
             (len(g) - 1) // d for g, d in _gf_distinct_degree(gf_monic(fb, p), p)
         )
+        if count == 1:
+            return [f]
         candidates.append((count, p))
-    r, p = min(candidates)
-    if r == 1:
-        return [f]
+    _, p = min(candidates)
     modular = [irr.coeffs for irr, _ in factor_poly_mod(f, p)]
     modular = [list(m) for m in modular]
     # Mignotte-style bound on factor coefficients of a monic f

@@ -1,10 +1,16 @@
 """Rational and p-adic invariants of integral quadratic forms.
 
 Hasse-Witt invariants use the strict i < j product convention
-h_p = prod_{i<j} (a_i, a_j)_p over a rational diagonalization; the odd-p
-Jordan decomposition diagonalizes over the local ring at p by always
-pivoting on an entry of minimal p-valuation, so tame trace forms come out
-with valuations in {0, 1} only.  Unit square classes are abstract
+h_p = prod_{i<j} (a_i, a_j)_p over a rational diagonalization.  Both
+eliminations are fraction-free.  The rational diagonal comes from
+symmetric Bareiss elimination on the integer matrix: its pivots are the
+leading principal minors D_k of a congruent integral form, and the entries
+are d_k = D_k / D_{k-1} (Bareiss, Math. Comp. 1968).  The odd-p Jordan
+decomposition pivots on an entry of minimal p-valuation, so tame trace
+forms come out with valuations in {0, 1} only, and runs over Z/p^K with
+K = v_p(det) + 1 (Conway & Sloane, SPLAG ch. 15): each trailing block has
+an entry of valuation at most v_p(det) < K, so the residues fix every
+pivot, valuation and unit class.  Unit square classes are abstract
 (square / nonsquare) and displayed with the least positive nonresidue.
 
 A Hasse profile needs the support of a diagonal form: -1, 2 and the odd
@@ -27,6 +33,7 @@ per-field profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,59 +70,83 @@ class DiagonalForm:
     def det_square_class(self) -> int:
         return _det_square_class(_factor_entries(self))
 
+    @classmethod
+    def from_minors(cls, minors: list[int], L: int) -> "DiagonalForm":
+        """<D_0/L, D_1/(D_0 L), ..., D_{n-1}/(D_{n-2} L)> from the pivots of
+        symmetric elimination on L*G."""
+        prevs = [1] + minors[:-1]
+        return cls(tuple(Fraction(d, prev * L) for d, prev in zip(minors, prevs)))
+
     def __str__(self) -> str:
         return "<" + ",".join(str(e) for e in self.entries) + ">"
 
 
-def _as_matrix(G) -> list[list[Fraction]]:
+def _int_matrix(G) -> tuple[list[list[int]], int]:
+    """(L*G, L) for a square symmetric rational matrix G, L the least
+    common denominator of its entries (1 for every Gram matrix)."""
     entries = G.entries if isinstance(G, GramMatrix) else G
-    M = [[Fraction(a) for a in row] for row in entries]
+    M = [list(row) for row in entries]
+    L = 1
+    if not all(type(a) is int for row in M for a in row):
+        M = [[Fraction(a) for a in row] for row in M]
+        L = math.lcm(*(a.denominator for row in M for a in row))
+        M = [[a.numerator * (L // a.denominator) for a in row] for row in M]
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("matrix is not square")
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             if M[i][j] != M[j][i]:
                 raise ValueError("matrix is not symmetric")
-    return M
+    return M, L
+
+
+def _sym_bareiss(M: list[list[int]]) -> list[int]:
+    """Pivots D_0, ..., D_{n-1} of fraction-free symmetric elimination on a
+    symmetric integer matrix M, which is overwritten.
+
+    A vanishing pivot is repaired by swapping in a later nonzero diagonal
+    entry, else by adding a later row+column with a nonzero entry in the
+    pivot row; when neither exists M is singular.  The repairs are
+    unimodular congruences, so D_k is the k-th leading principal minor of
+    an integral form congruent to M, D_{n-1} = det M, and the trailing block
+    after step k is D_k times the rational Schur complement: each update
+    divides exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968).
+    """
+    n = len(M)
+    prev = 1
+    minors = []
+    for k in range(n):
+        if not M[k][k]:
+            l = next((l for l in range(k + 1, n) if M[l][l]), None)
+            if l is not None:
+                _swap_sym(M, k, l)
+            else:
+                l = next((l for l in range(k + 1, n) if M[k][l]), None)
+                if l is None:
+                    raise ValueError("matrix is singular")
+                _add_sym(M, k, l)
+        rk = M[k]
+        piv = rk[k]
+        for i in range(k + 1, n):
+            ri, a = M[i], rk[i]
+            for j in range(i, n):
+                ri[j] = M[j][i] = (piv * ri[j] - a * rk[j]) // prev
+        prev = piv
+        minors.append(piv)
+    return minors
 
 
 def diagonalize_rational(G) -> DiagonalForm:
     """Congruent diagonal form over Q by symmetric elimination.
 
-    A vanishing pivot is repaired by adding a row+column with a nonzero
-    diagonal or off-diagonal entry; total failure means G is singular.
+    Fraction-free on the integer matrix L*G (`_sym_bareiss`): with D_k its
+    pivots and D_{-1} = 1, the diagonal is d_k = D_k / (D_{k-1} L), the
+    entries the same elimination over Q would give.  Raises ValueError when
+    G is singular.
     """
-    M = _as_matrix(G)
-    n = len(M)
-    for k in range(n):
-        if not M[k][k]:
-            fixed = False
-            for l in range(k + 1, n):
-                if M[l][l]:
-                    _swap_sym(M, k, l)
-                    fixed = True
-                    break
-            if not fixed:
-                for l in range(k + 1, n):
-                    if M[k][l]:
-                        _add_sym(M, k, l)
-                        fixed = True
-                        break
-            if not fixed:
-                raise ValueError("matrix is singular")
-        piv = M[k][k]
-        for i in range(k + 1, n):
-            if M[i][k]:
-                c = M[i][k] / piv
-                for j in range(n):
-                    M[i][j] -= c * M[k][j]
-                for j in range(n):
-                    M[j][i] -= c * M[j][k]
-    diag = [M[i][i] for i in range(n)]
-    if any(not d for d in diag):
-        raise ValueError("matrix is singular")
-    return DiagonalForm(tuple(diag))
+    M, L = _int_matrix(G)
+    return DiagonalForm.from_minors(_sym_bareiss(M), L)
 
 
 def _swap_sym(M, i, j):
@@ -365,80 +396,80 @@ def least_nonresidue(p: int) -> int:
     raise ValueError("no nonresidue found")
 
 
-def _vp_fraction(x: Fraction, p: int) -> int:
-    v, _ = _split_val(x.numerator, p)
-    w, _ = _split_val(x.denominator, p)
-    return v - w
-
-
-def _unit_part_mod_p(x: Fraction, p: int) -> int:
-    _, nu = _split_val(x.numerator, p)
-    _, de = _split_val(x.denominator, p)
-    return nu * de  # p-free integer in the square class of the unit part
-
-
-def jordan_form_odd(G, p: int) -> JordanForm:
+def jordan_form_odd(G, p: int, *, det_val: int | None = None) -> JordanForm:
     """Jordan decomposition of the form over Z_p, p odd.
 
-    Diagonalizes with minimal-valuation pivots (ties broken by position:
-    diagonal first, then row order) so every division keeps entries
-    p-integral; groups the diagonal by valuation and reduces each block's
-    unit product to its Legendre class.
+    Diagonalizes over Z/p^K, K = v_p(det G) + 1, with minimal-valuation
+    pivots (ties broken by position: diagonal first, then row order), so
+    every multiplier c = (M[r][k] / p^v) * u^-1 is p-integral; groups the
+    diagonal by valuation and reduces each block's unit product to its
+    Legendre class.  Every trailing block has determinant of valuation at
+    most v_p(det G) < K, hence an entry of valuation below K: the residues
+    mod p^K determine each pivot, its valuation and its unit class, and the
+    choices are those of the same elimination over Q.  `det_val` is
+    v_p(det G) when the caller knows it (disc(K) for a trace form);
+    otherwise det G is computed.  G must be p-integral (ValueError if not);
+    a rational G is scaled by the square of its common denominator, which
+    changes no unit class.
     """
     if p == 2:
         raise ValueError("dyadic Jordan decomposition is not supported")
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    M = _as_matrix(G)
+    M, L = _int_matrix(G)
+    if L % p == 0:
+        raise ValueError(f"form is not {p}-integral")
+    if L > 1:
+        M = [[a * L for a in row] for row in M]
     n = len(M)
+    if det_val is None:
+        minors = _sym_bareiss([list(row) for row in M])
+        det_val, _ = _split_val(minors[-1] if minors else 1, p)
+    pk = p ** (det_val + 1)
+    M = [[a % pk for a in row] for row in M]
+    blocks: dict[int, list[int]] = {}  # valuation -> unit parts of the pivots
     for k in range(n):
         # locate minimal-valuation entry in the trailing block
         best = None  # (valuation, not-diagonal, i, j)
         for i in range(k, n):
+            row = M[i]
             for j in range(i, n):
-                if M[i][j]:
-                    key = (_vp_fraction(M[i][j], p), i != j, i, j)
+                if row[j]:
+                    key = (_split_val(row[j], p)[0], i != j, i, j)
                     if best is None or key < best:
                         best = key
         if best is None:
             raise ValueError("matrix is singular")
-        _, offdiag, i, j = best
+        v, offdiag, i, j = best
         if offdiag:
             _add_sym(M, i, j)  # valuation of M[i][i] now equals the minimum
         if i != k:
             _swap_sym(M, k, i)
-        piv = M[k][k]
+        rk = M[k]
+        pv = p**v
+        u = rk[k] // pv
+        u_inv = pow(u, -1, pk)
         for r in range(k + 1, n):
-            if M[r][k]:
-                c = M[r][k] / piv
-                for t in range(n):
-                    M[r][t] -= c * M[k][t]
-                for t in range(n):
-                    M[t][r] -= c * M[t][k]
-    blocks: dict[int, list[Fraction]] = {}
-    for i in range(n):
-        d = M[i][i]
-        if not d:
-            raise ValueError("matrix is singular")
-        blocks.setdefault(_vp_fraction(d, p), []).append(d)
+            if rk[r]:
+                c = rk[r] // pv * u_inv % pk
+                row = M[r]
+                for t in range(r, n):
+                    row[t] = M[t][r] = (row[t] - c * rk[t]) % pk
+        blocks.setdefault(v, []).append(u)
     classes = {}
-    for v, ds in blocks.items():
-        u = 1
-        for d in ds:
-            u *= _unit_part_mod_p(d, p)
-        classes[v] = SQUARE if legendre(u, p) == 1 else NONSQUARE
-    uni = blocks.get(0, [])
-    ppart = blocks.get(1, [])
+    for v, us in blocks.items():
+        prod = 1
+        for u in us:
+            prod = prod * u % p
+        classes[v] = SQUARE if legendre(prod, p) == 1 else NONSQUARE
     higher = tuple(
         (v, len(blocks[v]), classes[v]) for v in sorted(blocks) if v >= 2
     )
-    if any(v < 0 for v in blocks):
-        raise InternalInvariantError("negative valuation in integral Jordan form")
     return JordanForm(
         p,
-        len(uni),
+        len(blocks.get(0, ())),
         classes.get(0, SQUARE),
-        len(ppart),
+        len(blocks.get(1, ())),
         classes.get(1, SQUARE),
         higher,
     )
@@ -480,8 +511,10 @@ def trace_hasse(K: NumberField, p: int) -> int:
 
 @per_field
 def trace_jordan(K: NumberField, p: int) -> JordanForm:
-    """Odd-p Jordan form of the integral trace form, cached."""
-    return jordan_form_odd(trace_gram(K), p)
+    """Odd-p Jordan form of the integral trace form, cached; its det is
+    disc(K), whose valuation the field already holds."""
+    det_val = K.disc_factorization.as_dict().get(p, 0)
+    return jordan_form_odd(trace_gram(K), p, det_val=det_val)
 
 
 @dataclass(frozen=True)

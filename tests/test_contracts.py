@@ -44,8 +44,10 @@ def test_bench_layers_resolve_to_callables():
 
 
 # integer-only kernels: Gram-Schmidt data is carried as Gram determinants,
-# the Gram inverse of the coordinate bound as the integer adjugate, and the
-# Newton slope of the Round-2 start as an integer pair
+# the Gram inverse of the coordinate bound as the integer adjugate, the
+# Newton slope of the Round-2 start as an integer pair, the symmetric
+# elimination of a quadratic form as leading minors (over Q) or residues
+# mod p^K (over Z_p), and polynomial remainders as pseudo-remainders
 _INTEGER_ONLY = {
     "_linalg.py": ("lll_reduce", "nearest_plane", "int_adjugate"),
     "numberfield.py": (
@@ -55,15 +57,35 @@ _INTEGER_ONLY = {
         "_newton_start",
         "_p_maximal_order",
     ),
+    "quadform.py": ("_sym_bareiss", "diagonalize_rational", "jordan_form_odd"),
+    "exact.py": (
+        "_pseudo_rem",
+        "poly_gcd",
+        "_sturm_chain",
+        "count_real_roots",
+        "IntPoly.divmod_exact",
+    ),
 }
+
+
+def _defs(tree):
+    """Top-level functions by name, and class methods as `Class.method`."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    out[f"{node.name}.{item.name}"] = item
+    return out
 
 
 def test_lattice_kernels_use_no_fraction():
     found = []
     for filename, names in _INTEGER_ONLY.items():
         path = SRC / filename
-        tree = ast.parse(path.read_text(), str(path))
-        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        defs = _defs(ast.parse(path.read_text(), str(path)))
         for name in names:
             for node in ast.walk(defs[name]):
                 if (isinstance(node, ast.Name) and node.id == "Fraction") or (
@@ -71,3 +93,4 @@ def test_lattice_kernels_use_no_fraction():
                 ):
                     found.append(f"{filename}:{name}:{node.lineno}")
     assert found == []
+
