@@ -513,11 +513,6 @@ class IntPoly:
             return None
         return IntPoly(q)
 
-    def is_squarefree(self) -> bool:
-        if self.degree < 1:
-            raise ValueError("squarefreeness needs degree >= 1")
-        return poly_gcd(self, self.derivative()).degree == 0
-
     # -- display
 
     def __str__(self) -> str:

@@ -70,13 +70,6 @@ class DiagonalForm:
     def det_square_class(self) -> int:
         return _det_square_class(_factor_entries(self))
 
-    @classmethod
-    def from_minors(cls, minors: list[int], L: int) -> "DiagonalForm":
-        """<D_0/L, D_1/(D_0 L), ..., D_{n-1}/(D_{n-2} L)> from the pivots of
-        symmetric elimination on L*G."""
-        prevs = [1] + minors[:-1]
-        return cls(tuple(Fraction(d, prev * L) for d, prev in zip(minors, prevs)))
-
     def __str__(self) -> str:
         return "<" + ",".join(str(e) for e in self.entries) + ">"
 
@@ -99,6 +92,13 @@ def _int_matrix(G) -> tuple[list[list[int]], int]:
             if M[i][j] != M[j][i]:
                 raise ValueError("matrix is not symmetric")
     return M, L
+
+
+def _diagonal_from_pivots(minors: list[int], L: int) -> DiagonalForm:
+    """<D_0/L, D_1/(D_0 L), ..., D_{n-1}/(D_{n-2} L)>: the output half of
+    `_int_matrix`, turning integer pivots back into rational entries."""
+    prevs = [1] + minors[:-1]
+    return DiagonalForm(tuple(Fraction(d, q * L) for d, q in zip(minors, prevs)))
 
 
 def _sym_bareiss(M: list[list[int]]) -> list[int]:
@@ -146,7 +146,7 @@ def diagonalize_rational(G) -> DiagonalForm:
     G is singular.
     """
     M, L = _int_matrix(G)
-    return DiagonalForm.from_minors(_sym_bareiss(M), L)
+    return _diagonal_from_pivots(_sym_bareiss(M), L)
 
 
 def _swap_sym(M, i, j):
@@ -396,7 +396,7 @@ def least_nonresidue(p: int) -> int:
     raise ValueError("no nonresidue found")
 
 
-def jordan_form_odd(G, p: int, *, det_val: int | None = None) -> JordanForm:
+def jordan_form_odd(G, p: int) -> JordanForm:
     """Jordan decomposition of the form over Z_p, p odd.
 
     Diagonalizes over Z/p^K, K = v_p(det G) + 1, with minimal-valuation
@@ -406,11 +406,10 @@ def jordan_form_odd(G, p: int, *, det_val: int | None = None) -> JordanForm:
     Legendre class.  Every trailing block has determinant of valuation at
     most v_p(det G) < K, hence an entry of valuation below K: the residues
     mod p^K determine each pivot, its valuation and its unit class, and the
-    choices are those of the same elimination over Q.  `det_val` is
-    v_p(det G) when the caller knows it (disc(K) for a trace form);
-    otherwise det G is computed.  G must be p-integral (ValueError if not);
-    a rational G is scaled by the square of its common denominator, which
-    changes no unit class.
+    choices are those of the same elimination over Q.  v_p(det G) is read
+    off the last pivot of `_sym_bareiss`.  G must be p-integral (ValueError
+    if not); a rational G is scaled by the square of its common
+    denominator, which changes no unit class.
     """
     if p == 2:
         raise ValueError("dyadic Jordan decomposition is not supported")
@@ -422,9 +421,8 @@ def jordan_form_odd(G, p: int, *, det_val: int | None = None) -> JordanForm:
     if L > 1:
         M = [[a * L for a in row] for row in M]
     n = len(M)
-    if det_val is None:
-        minors = _sym_bareiss([list(row) for row in M])
-        det_val, _ = _split_val(minors[-1] if minors else 1, p)
+    minors = _sym_bareiss([list(row) for row in M])
+    det_val, _ = _split_val(minors[-1] if minors else 1, p)
     pk = p ** (det_val + 1)
     M = [[a % pk for a in row] for row in M]
     blocks: dict[int, list[int]] = {}  # valuation -> unit parts of the pivots
@@ -511,10 +509,8 @@ def trace_hasse(K: NumberField, p: int) -> int:
 
 @per_field
 def trace_jordan(K: NumberField, p: int) -> JordanForm:
-    """Odd-p Jordan form of the integral trace form, cached; its det is
-    disc(K), whose valuation the field already holds."""
-    det_val = K.disc_factorization.as_dict().get(p, 0)
-    return jordan_form_odd(trace_gram(K), p, det_val=det_val)
+    """Odd-p Jordan form of the integral trace form, cached."""
+    return jordan_form_odd(trace_gram(K), p)
 
 
 @dataclass(frozen=True)
