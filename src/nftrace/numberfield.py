@@ -5,14 +5,18 @@ comes from the Round-2 procedure, run at every prime p whose square
 divides disc(f).  It starts from the order spanned by the theta^j /
 p^floor(j*lam), where lam is the least slope of the p-adic Newton polygon
 of f (Ore's bound: every root has valuation >= lam), and enlarges it
-through the ring of multipliers of its p-radical only while p^2 divides
-disc(O) = disc(f) / [O : Z[theta]]^2; once it does not, p cannot divide
+through the ring of multipliers of its p-radical.  Ore's theorem of the
+index (local.ore) is taken first at each such prime.  Where f is
+p-regular it gives v_p([O_K : Z[theta]]), and Round-2 stops as soon as its
+order reaches that index: the order is then p-maximal, so no enlargement
+runs only to confirm it.  Elsewhere Round-2 stops once p^2 no longer
+divides disc(O) = disc(f) / [O : Z[theta]]^2, since then p cannot divide
 [O_K : O] (Cohen, A Course in Computational Algebraic Number Theory,
-6.1).  The per-prime results are then summed.  The Dedekind criterion is
-run at every such prime as an independent check: Round-2 must return
-Z[theta] at p exactly when Dedekind finds Z[theta] p-maximal, whether it
-stopped on the discriminant or on an enlargement that found nothing, and
-a Newton start above Z[theta] must meet a Dedekind failure.
+6.1), or on an enlargement that finds nothing.  The per-prime results are
+then summed.  Ore's index is also the independent check on Round-2: the
+two must agree at a regular prime, Ore's must not exceed Round-2's at an
+irregular one, and Round-2 must return Z[theta] at p exactly when f is
+p-regular with index exponent 0, which is Dedekind's criterion.
 
 An order is held as (den, rows): integer rows, lower triangular with
 positive diagonal, such that omega_i = rows[i] / den in the power basis
@@ -53,7 +57,6 @@ from nftrace.exact import (
     factor_poly_mod,
     gf_add,
     gf_from_intpoly,
-    gf_gcd,
     gf_gcdex,
     gf_monic,
     gf_mul,
@@ -63,6 +66,7 @@ from nftrace.exact import (
     is_prime,
     poly_discriminant,
 )
+from nftrace.local import _valuation, ore
 
 
 class FieldConstructionError(ValueError):
@@ -286,81 +290,56 @@ def _newton_start(f: IntPoly, p: int):
     return p**top, rows
 
 
-def _p_maximal_order(f: IntPoly, p: int, disc_exp: int):
+def _p_maximal_order(f: IntPoly, p: int, disc_exp: int, ore_exp: int | None):
     """p-maximal order containing Z[theta], by iterated enlargement.
 
-    disc_exp is v_p(disc f).  The iteration starts at the Newton-polygon
-    order of _newton_start instead of Z[theta], and stops as soon as
-    v_p(disc O) = disc_exp - 2 v_p([O : Z[theta]]) is below 2: then p does
-    not divide [O_K : O], so O is already p-maximal.  Otherwise O is
-    enlarged through the multiplier ring of its p-radical, and an
-    enlargement that finds nothing proves O p-maximal.  The start is
-    Z[theta] exactly when floor((n-1)*lam) = 0, so den = 1 on return still
-    means that Z[theta] is p-maximal.  The Dedekind cross-check in
-    _maximal_order decides that independently, so it certifies the
-    discriminant stop whenever the stop returns Z[theta], and the Newton
-    start whenever the start lies above Z[theta].
+    Returns (den, rows, v) with v = v_p([O : Z[theta]]).  disc_exp is
+    v_p(disc f), and ore_exp is Ore's index exponent where f is p-regular,
+    else None.  The iteration starts at the Newton-polygon order of
+    _newton_start instead of Z[theta].  It stops as soon as v reaches
+    ore_exp, which Ore's theorem proves p-maximal, or v_p(disc O) =
+    disc_exp - 2 v is below 2, when p does not divide [O_K : O].
+    Otherwise O is enlarged through the multiplier ring of its p-radical,
+    and an enlargement that finds nothing proves O p-maximal.  The start
+    is Z[theta] exactly when floor((n-1)*lam) = 0, so den = 1 on return
+    still means that Z[theta] is p-maximal; _maximal_order checks every
+    return against Ore's index.
     """
     n = f.degree
     den, rows = _newton_start(f, p)
     while True:
-        index = den**n // math.prod(rows[i][i] for i in range(n))
-        if disc_exp - 2 * _valuation(index, p) < 2:
-            return den, rows
+        v = _valuation(den**n // math.prod(rows[i][i] for i in range(n)), p)
+        if v == ore_exp or disc_exp - 2 * v < 2:
+            return den, rows, v
         nxt = _enlarge_at_p(f, den, rows, p)
         if nxt is None:
-            return den, rows
+            return den, rows, v
         den, rows = nxt
 
 
-def _valuation(m: int, p: int) -> int:
-    """v_p(m) for m != 0."""
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def dedekind_p_maximal(f: IntPoly, p: int) -> bool:
-    """Dedekind's criterion: is Z[theta] already p-maximal?"""
-    fb = gf_monic(gf_from_intpoly(f, p), p)
-    fac = factor_poly_mod(f, p)
-    gstar = [1]
-    hstar = [1]
-    for g, e in fac:
-        gstar = gf_mul(gstar, list(g.coeffs), p)
-        for _ in range(e - 1):
-            hstar = gf_mul(hstar, list(g.coeffs), p)
-    # lift monic and form (g*h - f)/p over Z
-    g_lift = [c % p for c in gstar]
-    h_lift = [c % p for c in hstar]
-    gl = IntPoly(g_lift[:-1] + [1]) if len(g_lift) > 1 else IntPoly([1])
-    hl = IntPoly(h_lift[:-1] + [1]) if len(h_lift) > 1 else IntPoly([1])
-    prod = gl * hl
-    diff = prod - f
-    if any(c % p for c in diff.coeffs):
-        raise InternalInvariantError(f"Dedekind lift is not f mod p at p={p}")
-    T = [c // p for c in diff.coeffs]
-    Tb = gf_rem([c % p for c in T], fb, p) if T else []
-    u = gf_gcd(gf_gcd(Tb if Tb else [0], gstar, p), hstar, p)
-    return len(u) <= 1
-
-
 def _maximal_order(f: IntPoly, disc_f_fac: Factorization):
-    """Maximal order as (den, rows, index); Dedekind cross-check included."""
+    """Maximal order as (den, rows, index, ore_pairs), checked against Ore.
+
+    ore_pairs maps each prime p with p^2 | disc(f) at which f is p-regular
+    to the (e, f) pairs Ore's theorem gives there.
+    """
     n = f.degree
     parts = []
+    ore_pairs = {}
     for p, e in disc_f_fac:
         if e < 2:
             continue
-        den_p, rows_p = _p_maximal_order(f, p, e)
-        if dedekind_p_maximal(f, p) != (den_p == 1):
+        regular, ore_exp, pairs = ore(f, p)
+        den_p, rows_p, v = _p_maximal_order(f, p, e, ore_exp if regular else None)
+        if v < ore_exp or (regular and v != ore_exp) or (den_p == 1) != (regular and not ore_exp):
             raise InternalInvariantError(
-                f"Dedekind criterion disagrees with Round-2 at p={p}"
+                f"Ore's theorem disagrees with Round-2 for f = {f} at p = {p}: "
+                f"Ore's index exponent {ore_exp} (regular: {regular}), Round-2's {v}"
             )
         if den_p > 1:
             parts.append((den_p, rows_p))
+        if regular:
+            ore_pairs[p] = pairs
     if not parts:
         den, rows = 1, [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     else:
@@ -377,7 +356,7 @@ def _maximal_order(f: IntPoly, disc_f_fac: Factorization):
     if index_num % diag:
         raise InternalInvariantError("basis determinant is not 1/index")
     index = index_num // diag
-    return den, rows, index
+    return den, rows, index, ore_pairs
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +381,7 @@ class GramMatrix:
 class NumberField:
     """A number field Q(theta) with its maximal order precomputed."""
 
-    def __init__(self, f: IntPoly, den, rows, index, disc_factorization, signature):
+    def __init__(self, f: IntPoly, den, rows, index, disc_factorization, signature, ore_pairs):
         self.defining_poly = f
         self.degree = f.degree
         self.disc = disc_factorization.value()
@@ -424,6 +403,8 @@ class NumberField:
             if rem:
                 raise InternalInvariantError("non-integral trace on the order")
             self._trace_vec.append(t)
+        # Ore's (e, f) pairs at the regular primes p with p^2 | disc f, for split_prime
+        self._ore_pairs = ore_pairs
         self._memo: dict = {}  # see per_field
 
     @property
@@ -483,7 +464,7 @@ def new_field(f: IntPoly) -> NumberField:
         g = fac[0][0]
         raise FieldConstructionError(f"polynomial is reducible: factor {g}")
     disc_f_fac = factor_integer(poly_discriminant(f))
-    den, rows, index = _maximal_order(f, disc_f_fac)
+    den, rows, index, ore_pairs = _maximal_order(f, disc_f_fac)
     disc_fac = _disc_factorization(disc_f_fac, index)
     r1 = count_real_roots(f)
     n = f.degree
@@ -492,7 +473,7 @@ def new_field(f: IntPoly) -> NumberField:
     r2 = (n - r1) // 2
     if (disc_fac.sign < 0) != (r2 % 2 == 1):
         raise InternalInvariantError("sign(disc) disagrees with signature parity")
-    return NumberField(f, den, rows, index, disc_fac, (r1, r2))
+    return NumberField(f, den, rows, index, disc_fac, (r1, r2), ore_pairs)
 
 
 @per_field
@@ -751,17 +732,16 @@ def is_galois(K: NumberField) -> bool:
     """Exact normality test.
 
     Any unramified prime with a mixed residue-degree pattern certifies
-    non-Galois.  The first inert prime (or, failing that within a window,
-    the first totally split prime) triggers a p-adic search for the roots
-    of f inside O_K; the field is Galois iff all n roots are found.  The
-    search is witness-first: distinct p-adic roots give distinct roots in
-    O_K and n is the most there can be, so n candidates verified in the
-    field certify True at whatever precision they appear, usually the
-    lowest.  _coordinate_bound is used only to refute: every root has
-    integral-basis coordinates within it, so the inert route proves a root
-    absent once p^k > 2*bound, and the split route once its LLL-reduced
-    lattice has Gram-Schmidt norms that make nearest plane return every
-    root (see _count_roots_split).
+    non-Galois.  The first inert or totally split prime triggers a p-adic
+    search for the roots of f inside O_K; the field is Galois iff all n
+    roots are found.  The search is witness-first: distinct p-adic roots
+    give distinct roots in O_K and n is the most there can be, so n
+    candidates verified in the field certify True at whatever precision
+    they appear, usually the lowest.  _coordinate_bound is used only to
+    refute: every root has integral-basis coordinates within it, so the
+    inert route proves a root absent once p^k > 2*bound, and the split
+    route once its LLL-reduced lattice has Gram-Schmidt norms that make
+    nearest plane return every root (see _count_roots_split).
     Raises GaloisScanExceeded when no prime below the cap decides.
     """
     n = K.degree
@@ -769,8 +749,6 @@ def is_galois(K: NumberField) -> bool:
         return True
     f = K.defining_poly
     disc_f = K.index**2 * K.disc
-    split_candidate = None
-    patience = 0
     last = None
     p = 2
     while p < _GALOIS_SCAN_CAP:
@@ -783,13 +761,7 @@ def is_galois(K: NumberField) -> bool:
             if d == n:
                 return _all_roots_inert(K, p, _coordinate_bound(K))
             if d == 1:
-                if n <= 5:
-                    return _count_roots_split(K, p, _coordinate_bound(K)) == n
-                split_candidate = split_candidate or p
-            if split_candidate is not None:
-                patience += 1
-                if patience > 25:
-                    return _count_roots_split(K, split_candidate, _coordinate_bound(K)) == n
+                return _count_roots_split(K, p, _coordinate_bound(K)) == n
         p = 3 if p == 2 else p + 2
         while not is_prime(p):
             p += 2

@@ -1,12 +1,15 @@
 """Decomposition of rational primes (and the infinite place) in a field.
 
-Two routes: for p not dividing the index, Dedekind's theorem reads the
-(e_i, f_i) pairs straight off the factorization of f mod p.  For index
-primes the quotient O_K/pO_K is split explicitly: its nilradical comes
-from the Frobenius kernel, the semisimple quotient is cut into fields
-along eigenspaces of Frobenius-fixed elements, and each ramification
-index is the exact valuation e = max{e : pO_K in P^e} computed with HNF
-ideal powers.
+Three routes.  Where p^2 divides disc(f) and f is p-regular, Ore's
+theorem reads the (e_i, f_i) pairs off the phi-Newton polygons of f;
+new_field keeps those pairs in the field (local.ore).  At the other primes
+not dividing the index, Dedekind's theorem reads them straight off the
+factorization of f mod p.  At the other index primes, where f is not
+p-regular, the quotient O_K/pO_K is split explicitly: its nilradical
+comes from the Frobenius kernel, the semisimple quotient is cut into
+fields along eigenspaces of Frobenius-fixed elements, and each
+ramification index is the exact valuation e = max{e : pO_K in P^e}
+computed with HNF ideal powers.
 
 The infinite place follows the Conway convention p = -1 and decomposes
 into r1 real pairs (1,1) and r2 complex pairs (1,2).
@@ -74,7 +77,9 @@ def split_prime(K: NumberField, p: int) -> PrimeSplitting:
         return PrimeSplitting(-1, pairs)
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if K.index % p:
+    if p in K._ore_pairs:
+        pairs = K._ore_pairs[p]
+    elif K.index % p:
         fac = factor_poly_mod(K.defining_poly, p)
         pairs = sorted(((e, g.degree) for g, e in fac), key=lambda t: (t[1], t[0]))
     else:

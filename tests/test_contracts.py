@@ -45,7 +45,8 @@ def test_bench_layers_resolve_to_callables():
 
 # integer-only kernels: Gram-Schmidt data is carried as Gram determinants,
 # the Gram inverse of the coordinate bound as the integer adjugate, the
-# Newton slope of the Round-2 start as an integer pair, the symmetric
+# Newton slope of the Round-2 start and the sides of Ore's polygons as
+# integer pairs with int valuations, the symmetric
 # elimination of a quadratic form as leading minors (over Q) or residues
 # mod p^K (over Z_p), and polynomial remainders as pseudo-remainders
 _INTEGER_ONLY = {
@@ -56,6 +57,15 @@ _INTEGER_ONLY = {
         "_coordinate_bound",
         "_newton_start",
         "_p_maximal_order",
+    ),
+    "local.py": (
+        "ore",
+        "_phi_expansion",
+        "_valuation",
+        "_sides",
+        "_lattice_points",
+        "_residual",
+        "_factor_degrees",
     ),
     "quadform.py": ("_sym_bareiss", "diagonalize_rational", "jordan_form_odd"),
     "exact.py": (
@@ -94,3 +104,15 @@ def test_lattice_kernels_use_no_fraction():
                     found.append(f"{filename}:{name}:{node.lineno}")
     assert found == []
 
+
+def test_integer_kernels_use_no_true_division():
+    # a slope or a valuation computed with `/` would be a float
+    found = []
+    for filename, names in _INTEGER_ONLY.items():
+        path = SRC / filename
+        defs = _defs(ast.parse(path.read_text(), str(path)))
+        for name in names:
+            for node in ast.walk(defs[name]):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    found.append(f"{filename}:{name}:{node.lineno}")
+    assert found == []

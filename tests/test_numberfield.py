@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import element, field, one, poly
+from test_ore import dedekind_p_maximal
 from nftrace.exact import IntPoly, factor_integer, factor_poly, poly_discriminant
 from nftrace.numberfield import (
     FieldConstructionError,
-    dedekind_p_maximal,
     is_fundamental_disc,
     is_galois,
     new_field,
