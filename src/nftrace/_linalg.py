@@ -112,11 +112,6 @@ def hnf_rows(mat):
     return [row for row in m[:r]]
 
 
-def in_row_lattice(hnf_basis, vec) -> bool:
-    """Membership of an integer vector in the row lattice given by its HNF."""
-    return lattice_coords(hnf_basis, vec) is not None
-
-
 def lattice_coords(hnf_basis, vec):
     """Coordinates of vec in the HNF row basis, or None if not a member."""
     v = list(vec)

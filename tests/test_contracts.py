@@ -67,6 +67,7 @@ _INTEGER_ONLY = {
         "_residual",
         "_factor_degrees",
     ),
+    "splitting.py": ("_split_via_order", "_minimal_polynomial"),
     "quadform.py": ("_sym_bareiss", "diagonalize_rational", "jordan_form_odd"),
     "exact.py": (
         "_pseudo_rem",

@@ -1,15 +1,24 @@
 """Prime decomposition tests, anchored on the published (e,f) table for the
 quartic pair and on structural identities (sum e_i f_i = n, the tame
-exponent law, Galois uniformity, agreement of the two splitting routes)."""
+exponent law, the different exponent, Galois uniformity, agreement of the
+splitting routes)."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import element, field, one, poly
+from nftrace import splitting
 from nftrace._linalg import frac_matrix_inverse
-from nftrace.exact import IntPoly, factor_integer, factor_poly, poly_discriminant
+from nftrace.exact import (
+    IntPoly,
+    InternalInvariantError,
+    factor_integer,
+    factor_poly,
+    poly_discriminant,
+)
 from nftrace.numberfield import new_field
 from nftrace.splitting import (
     _split_via_order,
@@ -237,3 +246,15 @@ def test_ramified_iff_divides_disc():
         ram = ramified_primes(K)
         for p in (2, 3, 5, 7, 11, 13, 43):
             assert split_prime(K, p).is_ramified == (p in ram), (name, p)
+
+
+@pytest.mark.parametrize("wrong", [[(5, 1)], [(1, 2), (1, 3)]], ids=["too wild", "unramified"])
+def test_split_prime_checks_the_different_exponent(wrong, monkeypatch):
+    # d_K = 5 * 1741 and 5 | index: the true pairs (2, 1)(1, 3) give
+    # sum f (e - 1) = 1 = v_5(d_K) with e tame.  (5, 1) passes sum e f = n but
+    # needs v_5(d_K) > 4; an unramified answer needs v_5(d_K) = 0
+    f = IntPoly([9765625, 1562500, 0, 1875, 0, 1])
+    assert split_prime(new_field(f), 5).pairs == ((2, 1), (1, 3))
+    monkeypatch.setattr(splitting, "_split_via_order", lambda K, p: wrong)
+    with pytest.raises(InternalInvariantError, match=re.escape(f"f = {f} at p = 5")):
+        split_prime(new_field(f), 5)
