@@ -165,38 +165,6 @@ def nullspace_mod_p(M, p):
     return basis
 
 
-def solve_row_combo_mod_p(rows, target, p):
-    """x with sum x_i rows[i] = target over F_p, or None."""
-    if not rows:
-        return None if any(a % p for a in target) else []
-    ncols = len(rows[0])
-    aug = [[rows[i][j] % p for i in range(len(rows))] + [target[j] % p]
-           for j in range(ncols)]
-    nvars = len(rows)
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [a * inv % p for a in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][nvars]:
-            return None
-    x = [0] * nvars
-    for c, i in piv_of_col.items():
-        x[c] = aug[i][nvars]
-    return x
-
-
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 

@@ -58,27 +58,46 @@ def parse_polynomial(text: str) -> IntPoly:
     Integer coefficients only; `*` before x is optional; whitespace is
     ignored.  Errors carry the character position.
     """
-    stripped = text.strip()
-    if stripped.startswith("["):
-        return _parse_coeff_list(stripped)
+    if text.lstrip().startswith("["):
+        return _parse_coeff_list(text)
     return _parse_expression(text)
 
 
-def _parse_coeff_list(s: str) -> IntPoly:
-    if not s.endswith("]"):
-        raise PolynomialParseError("unterminated coefficient list", len(s) - 1)
-    body = s[1:-1].strip()
-    if not body:
-        raise PolynomialParseError("empty coefficient list", 1)
+def _read_int(text: str, j: int) -> tuple[int | None, int]:
+    """(value, end) of the ASCII digits text[j:end], value None if there are none.
+
+    Both syntaxes read integers only here: str.isdigit and int() also take
+    other Unicode digits such as '²', and int() takes '1_0'.
+    """
+    end = j
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    if end == j:
+        return None, j
+    try:
+        return int(text[j:end]), end
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise PolynomialParseError("integer has too many digits", j) from None
+
+
+def _parse_coeff_list(text: str) -> IntPoly:
+    start = len(text) - len(text.lstrip())
+    end = len(text.rstrip()) - 1
+    if text[end] != "]":
+        raise PolynomialParseError("unterminated coefficient list", end)
+    if not text[start + 1 : end].strip():
+        raise PolynomialParseError("empty coefficient list", start + 1)
     coeffs = []
-    for i, part in enumerate(body.split(",")):
-        part = part.strip()
-        try:
-            coeffs.append(int(part))
-        except ValueError:
-            raise PolynomialParseError(
-                f"coefficient {part!r} is not an integer", s.find(part) if part else i
-            ) from None
+    pos = start + 1
+    for part in text[start + 1 : end].split(","):
+        item = part.strip()
+        j = pos + len(part) - len(part.lstrip())
+        pos += len(part) + 1
+        signed = item[:1] in ("+", "-")
+        value, stop = _read_int(text, j + signed)
+        if value is None or stop != j + len(item):
+            raise PolynomialParseError(f"coefficient {item!r} is not an integer", j)
+        coeffs.append(-value if item[:1] == "-" else value)
     return IntPoly(coeffs)
 
 
@@ -91,14 +110,6 @@ def _parse_expression(text: str) -> IntPoly:
         while j < n and text[j].isspace():
             j += 1
         return j
-
-    def read_int(j):
-        start = j
-        while j < n and text[j].isdigit():
-            j += 1
-        if start == j:
-            raise PolynomialParseError("expected an integer", start)
-        return int(text[start:j]), j
 
     i = skip_ws(i)
     if i == n:
@@ -113,10 +124,9 @@ def _parse_expression(text: str) -> IntPoly:
         elif not first:
             raise PolynomialParseError(f"expected '+' or '-', got {text[i]!r}", i)
         first = False
-        coef = None
-        if i < n and text[i].isdigit():
-            coef, i = read_int(i)
-            i = skip_ws(i)
+        coef, j = _read_int(text, i)
+        if coef is not None:
+            i = skip_ws(j)
             if i < n and text[i] == "/":
                 raise PolynomialParseError("rational coefficients are not allowed", i)
             if i < n and text[i] == "*":
@@ -129,8 +139,10 @@ def _parse_expression(text: str) -> IntPoly:
             i = skip_ws(i + 1)
             if i < n and text[i] == "^":
                 i = skip_ws(i + 1)
-                power, i = read_int(i)
-                i = skip_ws(i)
+                power, j = _read_int(text, i)
+                if power is None:
+                    raise PolynomialParseError("expected an integer", i)
+                i = skip_ws(j)
         elif coef is None:
             got = repr(text[i]) if i < n else "end of input"
             raise PolynomialParseError(f"expected a coefficient or 'x', got {got}", i)

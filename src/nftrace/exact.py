@@ -339,6 +339,15 @@ def _coprime_base(values) -> list[int]:
     return base
 
 
+def split_val(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), n / p^v_p(n)) for n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def squarefree_part(n: int) -> int:
     """The squarefree integer in the same rational square class as n != 0."""
     return factor_integer(n).squarefree_part()
@@ -860,6 +869,11 @@ def _gf_distinct_degree(f, p):
     return out
 
 
+def gf_factor_degrees(f, p):
+    """Degrees, ascending, of the irreducible factors of the squarefree f over F_p."""
+    return [d for g, d in _gf_distinct_degree(gf_monic(f, p), p) for _ in range((len(g) - 1) // d)]
+
+
 def _gf_equal_degree_split(f, d, p, rng):
     """Split a monic product of degree-d irreducibles (Cantor-Zassenhaus)."""
     n = len(f) - 1
@@ -986,9 +1000,7 @@ def _zassenhaus_monic_squarefree(f: IntPoly) -> list[IntPoly]:
         if len(gf_gcd(fb, gf_deriv(fb, p), p)) != 1:
             continue
         # count irreducibles without running the full split
-        count = sum(
-            (len(g) - 1) // d for g, d in _gf_distinct_degree(gf_monic(fb, p), p)
-        )
+        count = len(gf_factor_degrees(fb, p))
         if count == 1:
             return [f]
         candidates.append((count, p))

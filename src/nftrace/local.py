@@ -26,26 +26,34 @@ Everything stays in integers: valuations are ints and sides integer pairs.
 Over F_q with deg phi > 1 a residual polynomial is a list of elements of
 F_p[x]/(phi), each a gf list (see exact.py), and the _fq_* helpers do its
 arithmetic mod (p, phi).
+
+The last section is the algebra O/pO of an order with integer structure
+constants C: the one multiply alg_mul, Frobenius with its stable power
+x -> x^(p^m), p^m >= n, whose kernel is the p-radical (Round-2 in
+numberfield.py), the minimal polynomial, and split_by_idempotents, the
+(e, f) pairs above p wherever f is not p-regular.
 """
 
 from __future__ import annotations
 
 import math
 
+from nftrace._linalg import nullspace_mod_p
 from nftrace.exact import (
+    InternalInvariantError,
     IntPoly,
-    _gf_distinct_degree,
     factor_poly_mod,
     gf_add,
     gf_deriv,
+    gf_factor_degrees,
     gf_gcd,
     gf_gcdex,
-    gf_monic,
     gf_mul,
     gf_rem,
     gf_scale,
     gf_sub,
     gf_trim,
+    split_val,
 )
 
 
@@ -63,7 +71,7 @@ def ore(f: IntPoly, p: int):
             pairs.append((1, m))
             continue
         a = _phi_expansion(f.coeffs, phi.coeffs, e + 1)
-        v = [_valuation(math.gcd(*ak), p) if any(ak) else None for ak in a]
+        v = [split_val(math.gcd(*ak), p)[0] if any(ak) else None for ak in a]
         for side in _sides(v):
             index += m * _lattice_points(*side)
             if regular:
@@ -94,15 +102,6 @@ def _phi_expansion(f, phi, count):
         out.append(r[:m])
         r = q
     return out
-
-
-def _valuation(m: int, p: int) -> int:
-    """v_p(m) for m != 0."""
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def _sides(v):
@@ -148,10 +147,10 @@ def _factor_degrees(r, phi, p):
     if len(r) == 2:
         return [1]
     if len(phi) == 2:
-        r = gf_monic([c[0] if c else 0 for c in r], p)
+        r = [c[0] if c else 0 for c in r]
         if len(gf_gcd(r, gf_deriv(r, p), p)) > 1:
             return None
-        return [d for part, d in _gf_distinct_degree(r, p) for _ in range((len(part) - 1) // d)]
+        return gf_factor_degrees(r, p)
     deriv = _fq_trim([gf_scale(c, i, p) for i, c in enumerate(r)][1:])
     if len(_fq_gcd(r, deriv, phi, p)) > 1:
         return None
@@ -226,7 +225,7 @@ def _fq_distinct_degree(r, phi, p):
     """Degrees of the irreducible factors of a monic squarefree r in F_q[y].
 
     The factors of degree d divide y^(q^d) - y, which is taken mod the part
-    of r left after the smaller degrees, as in exact._gf_distinct_degree.
+    of r left after the smaller degrees, as in exact.gf_factor_degrees.
     """
     q = p ** (len(phi) - 1)
     y = [[], [1]]
@@ -243,3 +242,123 @@ def _fq_distinct_degree(r, phi, p):
     if len(rest) > 1:
         out.append(len(rest) - 1)
     return out
+
+
+# ----------------------------------------------------------------------
+# the algebra O/pO: elements are coordinate lists in the basis of O
+# ----------------------------------------------------------------------
+
+
+def alg_mul(C, a, b):
+    """Product of two elements in basis coordinates, given structure constants C."""
+    out = [0] * len(C)
+    for i, ai in enumerate(a):
+        if ai:
+            Ci = C[i]
+            for j, bj in enumerate(b):
+                if bj:
+                    w = ai * bj
+                    for k, c in enumerate(Ci[j]):
+                        if c:
+                            out[k] += w * c
+    return out
+
+
+def alg_pow(mult, one, v, e):
+    """v^e by left-to-right square-and-multiply under the multiplication `mult`.
+
+    Each step multiplies by v itself, which is cheap when v is sparse (a
+    basis vector); there is no squaring after the last bit and no product
+    with `one`, so v^2 costs one multiply.
+    """
+    if not e:
+        return one
+    result = v
+    for bit in bin(e)[3:]:
+        result = mult(result, result)
+        if bit == "1":
+            result = mult(result, v)
+    return result
+
+
+def _mul_mod_p(C, p):
+    """The multiplication of O/pO."""
+    return lambda u, v: [c % p for c in alg_mul(C, u, v)]
+
+
+def frobenius_matrix(C, p):
+    """(F, F^m): the matrices of x -> x^p and x -> x^(p^m) on O/pO, for the
+    least m with p^m >= n, columns the images of the basis.  The kernel of
+    the stable power F^m is the nilradical."""
+    n = len(C)
+    mult = _mul_mod_p(C, p)
+    one = [1] + [0] * (n - 1)
+    cols = [alg_pow(mult, one, [int(k == i) for k in range(n)], p) for i in range(n)]
+    F = [[cols[c][r] for c in range(n)] for r in range(n)]
+    Fm, q = F, p
+    while q < n:
+        q *= p
+        Fm = [[sum(Fm[r][t] * F[t][c] for t in range(n)) % p for c in range(n)]
+              for r in range(n)]
+    return F, Fm
+
+
+def minimal_polynomial(mult, one, alpha, p):
+    """Monic minimal polynomial coefficients (ascending) of alpha.
+
+    At the first k where the columns 1, alpha, ..., alpha^k are dependent
+    their kernel is one-dimensional, and its basis vector, with last entry
+    1, is the polynomial.
+    """
+    powers = [one]
+    while len(powers) <= len(one):
+        powers.append(mult(powers[-1], alpha))
+        kernel = nullspace_mod_p(list(zip(*powers)), p)
+        if kernel:
+            return kernel[0]
+    raise InternalInvariantError("minimal polynomial exceeded algebra dimension")
+
+
+def split_by_idempotents(C, p):
+    """(e, f) pairs of the primes above p from the idempotents of
+    O_K/pO_K, C the structure constants of O_K.
+
+    O_K/pO_K is the product of the local rings O_K/P_i^e_i.  Frobenius
+    x -> x^p fixes exactly the F_p-span of their identities eps_i, so a
+    basis of the fixed space cuts 1 into the eps_i along the values of its
+    elements.  Then e_i f_i = rank(x -> eps_i x), and since x -> x^(p^m)
+    with p^m >= n kills the nilradical, f_i = rank of eps_i times its image.
+    """
+    n = len(C)
+    mult = _mul_mod_p(C, p)
+    one = [1] + [0] * (n - 1)
+    basis = [[int(k == i) for k in range(n)] for i in range(n)]
+    F, Fm = frobenius_matrix(C, p)
+    fixed = nullspace_mod_p([[(F[r][c] - (r == c)) % p for c in range(n)] for r in range(n)], p)
+    idempotents = [one]
+    for y in fixed:
+        if len(idempotents) == len(fixed):
+            break
+        # 1 - (y - c)^(p-1) is the sum of the eps_i on which y equals c
+        parts = []
+        for g, e in factor_poly_mod(IntPoly(minimal_polynomial(mult, one, y, p)), p):
+            if g.degree != 1 or e != 1:
+                raise InternalInvariantError("fixed element has non-split minimal polynomial")
+            shifted = [(a + g[0] * b) % p for a, b in zip(y, one)]
+            power = alg_pow(mult, one, shifted, p - 1)
+            parts.append([(b - a) % p for a, b in zip(power, one)])
+        products = [mult(eps, part) for eps in idempotents for part in parts]
+        idempotents = [v for v in products if any(v)]
+    if len(idempotents) != len(fixed):
+        raise InternalInvariantError(
+            f"{len(idempotents)} idempotents for {len(fixed)} primes at p={p}"
+        )
+    residue = [[Fm[r][c] for r in range(n)] for c in range(n)]
+    pairs = []
+    for eps in idempotents:
+        ef = n - len(nullspace_mod_p([mult(eps, b) for b in basis], p))
+        f = n - len(nullspace_mod_p([mult(eps, v) for v in residue], p))
+        if ef % f:
+            raise InternalInvariantError(f"residue degree {f} does not divide {ef}")
+        pairs.append((ef // f, f))
+    return pairs

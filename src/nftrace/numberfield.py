@@ -25,8 +25,10 @@ in integers: a product omega_i * omega_j is taken on the numerator rows
 mod the monic f, and its basis coordinates come from exact
 back-substitution on the triangular rows.  A remainder anywhere (a
 numerator not divisible by den, or a pivot that does not divide) means
-the lattice is not closed under multiplication.  Structure constants are
-integer vectors, and one multiply, _alg_mul, serves every caller.
+the lattice is not closed under multiplication.  The structure constants
+are integer vectors, and local.py holds the algebra O/pO they define: one
+multiply, alg_mul, serves every caller, and the p-radical is the kernel of
+the stable Frobenius power from local.frobenius_matrix.
 """
 
 from __future__ import annotations
@@ -50,23 +52,23 @@ from nftrace.exact import (
     InternalInvariantError,
     IntPoly,
     _centered,
-    _gf_distinct_degree,
     count_real_roots,
     factor_integer,
     factor_poly,
     factor_poly_mod,
     gf_add,
+    gf_factor_degrees,
     gf_from_intpoly,
     gf_gcdex,
-    gf_monic,
     gf_mul,
     gf_pow_mod,
     gf_rem,
     gf_sub,
     is_prime,
     poly_discriminant,
+    split_val,
 )
-from nftrace.local import _valuation, ore
+from nftrace.local import alg_mul, frobenius_matrix, ore
 
 
 class FieldConstructionError(ValueError):
@@ -170,63 +172,6 @@ def _int_mul_mod(a, b, fc):
     return out[:n]
 
 
-def _alg_mul(C, a, b):
-    """Product of two elements in basis coordinates, given structure constants C."""
-    out = [0] * len(C)
-    for i, ai in enumerate(a):
-        if ai:
-            Ci = C[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    w = ai * bj
-                    for k, c in enumerate(Ci[j]):
-                        if c:
-                            out[k] += w * c
-    return out
-
-
-def _alg_pow(mult, one, v, e):
-    """v^e by left-to-right square-and-multiply under the multiplication `mult`.
-
-    Each step multiplies by v itself, which is cheap when v is sparse (a
-    basis vector); there is no squaring after the last bit and no product
-    with `one`, so v^2 costs one multiply.
-    """
-    if not e:
-        return one
-    result = v
-    for bit in bin(e)[3:]:
-        result = mult(result, result)
-        if bit == "1":
-            result = mult(result, v)
-    return result
-
-
-def _frobenius_power_matrix(C, p, n):
-    """Matrix of x -> x^(p^m) on O/pO with p^m >= n, columns = images."""
-    def mult(u, v):
-        return [c % p for c in _alg_mul(C, u, v)]
-
-    one = [1] + [0] * (n - 1)
-    cols = [_alg_pow(mult, one, [int(k == i) for k in range(n)], p) for i in range(n)]
-    F = [[cols[c][r] for c in range(n)] for r in range(n)]
-    m = 1
-    q = p
-    while q < n:
-        q *= p
-        m += 1
-    Fm = F
-    for _ in range(m - 1):
-        Fm = [[sum(Fm[r][t] * F[t][c] for t in range(n)) % p for c in range(n)]
-              for r in range(n)]
-    return Fm
-
-
-def _radical_mod_p(C, p, n):
-    """Basis of the nilradical of O/pO (kernel of the p^m-power map)."""
-    return nullspace_mod_p(_frobenius_power_matrix(C, p, n), p)
-
-
 def _enlarge_at_p(f: IntPoly, den: int, rows: list[list[int]], p: int):
     """One Round-2 enlargement through the multiplier ring of the p-radical.
 
@@ -234,7 +179,7 @@ def _enlarge_at_p(f: IntPoly, den: int, rows: list[list[int]], p: int):
     """
     n = f.degree
     C, _ = _mult_table(f, den, rows)
-    rad = _radical_mod_p(C, p, n)
+    rad = nullspace_mod_p(frobenius_matrix(C, p)[1], p)
     ideal_rows = [[p if j == i else 0 for j in range(n)] for i in range(n)]
     ideal_rows += [[c % p for c in v] for v in rad]
     T = hnf_rows(ideal_rows)
@@ -243,11 +188,7 @@ def _enlarge_at_p(f: IntPoly, den: int, rows: list[list[int]], p: int):
     # multipliers: y in O with y * I_p inside p * I_p, as a kernel mod p
     constraint_rows = []
     for t in T:
-        prods = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            prods.append(_alg_mul(C, e, t))
+        prods = [alg_mul(C, [int(k == i) for k in range(n)], t) for i in range(n)]
         coords = []
         for v in prods:
             cv = lattice_coords(T, v)
@@ -282,7 +223,7 @@ def _newton_start(f: IntPoly, p: int):
     v, k = 1, 0  # lam = v / k, starting at infinity
     for kk in range(1, n + 1):
         if a[n - kk]:
-            vv = _valuation(a[n - kk], p)
+            vv = split_val(a[n - kk], p)[0]
             if vv * k < v * kk:
                 v, k = vv, kk
     top = (n - 1) * v // k
@@ -308,7 +249,7 @@ def _p_maximal_order(f: IntPoly, p: int, disc_exp: int, ore_exp: int | None):
     n = f.degree
     den, rows = _newton_start(f, p)
     while True:
-        v = _valuation(den**n // math.prod(rows[i][i] for i in range(n)), p)
+        v = split_val(den**n // math.prod(rows[i][i] for i in range(n)), p)[0]
         if v == ore_exp or disc_exp - 2 * v < 2:
             return den, rows, v
         nxt = _enlarge_at_p(f, den, rows, p)
@@ -566,7 +507,7 @@ def _verify_root(K: NumberField, coords: list[int]) -> bool:
         return False
     acc = [0] * K.degree
     for c in reversed(f.coeffs):
-        acc = _alg_mul(K._mult, acc, coords)
+        acc = alg_mul(K._mult, acc, coords)
         acc[0] += c  # omega_1 = 1
     return not any(acc)
 
@@ -703,15 +644,6 @@ def _count_roots_split(K: NumberField, p: int, bound: int) -> int:
     return count
 
 
-def _factor_degree_pattern(f: IntPoly, p: int) -> list[int]:
-    """Sorted degrees of the irreducible factors of the squarefree f mod p."""
-    fb = gf_monic(gf_from_intpoly(f, p), p)
-    out = []
-    for part, d in _gf_distinct_degree(fb, p):
-        out += [d] * ((len(part) - 1) // d)
-    return sorted(out)
-
-
 _GALOIS_SCAN_CAP = 10**6
 
 
@@ -754,7 +686,7 @@ def is_galois(K: NumberField) -> bool:
     while p < _GALOIS_SCAN_CAP:
         last = p
         if disc_f % p:
-            pattern = _factor_degree_pattern(f, p)
+            pattern = gf_factor_degrees(gf_from_intpoly(f, p), p)
             if len(set(pattern)) > 1:
                 return False
             d = pattern[0]

@@ -44,6 +44,7 @@ from nftrace.exact import (
     is_prime,
     jacobi,
     legendre,
+    split_val,
 )
 from nftrace.numberfield import GramMatrix, NumberField, per_field, trace_gram
 from nftrace.splitting import is_tame_field, ramified_primes
@@ -174,14 +175,6 @@ def _square_class_int(a) -> int:
     return a.numerator * a.denominator
 
 
-def _split_val(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 def _check_place(p: int) -> None:
     if p not in (-1, 2) and (p < 2 or not is_prime(p)):
         raise ValueError(f"{p} is not a prime, 2 or -1")
@@ -190,7 +183,7 @@ def _check_place(p: int) -> None:
 def _local(a: int, p: int):
     """What (a, b)_p reads of a nonzero integer a: a itself at p = -1,
     else (v_p(a), p-free part)."""
-    return a if p == -1 else _split_val(a, p)
+    return a if p == -1 else split_val(a, p)
 
 
 def _hilbert(x, y, p: int) -> int:
@@ -422,7 +415,7 @@ def jordan_form_odd(G, p: int) -> JordanForm:
         M = [[a * L for a in row] for row in M]
     n = len(M)
     minors = _sym_bareiss([list(row) for row in M])
-    det_val, _ = _split_val(minors[-1] if minors else 1, p)
+    det_val, _ = split_val(minors[-1] if minors else 1, p)
     pk = p ** (det_val + 1)
     M = [[a % pk for a in row] for row in M]
     blocks: dict[int, list[int]] = {}  # valuation -> unit parts of the pivots
@@ -433,7 +426,7 @@ def jordan_form_odd(G, p: int) -> JordanForm:
             row = M[i]
             for j in range(i, n):
                 if row[j]:
-                    key = (_split_val(row[j], p)[0], i != j, i, j)
+                    key = (split_val(row[j], p)[0], i != j, i, j)
                     if best is None or key < best:
                         best = key
         if best is None:

@@ -6,7 +6,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from nftrace.exact import IntPoly
-from nftrace.numberfield import NumberField, _alg_mul, new_field
+from nftrace.local import alg_mul
+from nftrace.numberfield import NumberField, new_field
 
 # ascending coefficient lists
 CORPUS = {
@@ -55,7 +56,7 @@ class FieldElement:
     coords: tuple[Fraction, ...]
 
     def __mul__(self, other):
-        out = _alg_mul(self.field._mult, self.coords, other.coords)
+        out = alg_mul(self.field._mult, self.coords, other.coords)
         return FieldElement(self.field, tuple(Fraction(c) for c in out))
 
     def trace(self) -> Fraction:

@@ -27,8 +27,8 @@ from nftrace.quadform import (
     trace_hasse,
 )
 from nftrace.rootnum import compare_root_numbers
+from nftrace.local import split_by_idempotents
 from nftrace.splitting import (
-    _split_via_order,
     is_tame,
     is_tame_field,
     ramified_primes,
@@ -374,7 +374,7 @@ def test_criterion_5g_split_paths_agree():
                 continue
             dedekind = split_prime(K, p).pairs
             order_route = tuple(
-                sorted(_split_via_order(K, p), key=lambda t: (t[1], t[0]))
+                sorted(split_by_idempotents(K._mult, p), key=lambda t: (t[1], t[0]))
             )
             assert order_route == dedekind, (K, p)
             cases += 1

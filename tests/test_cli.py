@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -57,6 +58,44 @@ def test_parse_malformed():
             parse_polynomial(bad)
 
 
+def test_parse_list_errors_carry_the_character_position():
+    for text, position in (("[1,,2]", 3), ("[-1, -]", 5), ("  [1, a]", 6)):
+        with pytest.raises(PolynomialParseError) as exc:
+            parse_polynomial(text)
+        assert exc.value.position == position, text
+
+
+def test_both_syntaxes_read_ascii_digits_only():
+    for bad in ("x^²+1", "x^2+١", "[1_0, 0, 1]", "x + 1_0", "[٣, 1]"):
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(bad)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int() digit limit is set")
+def test_parse_rejects_an_integer_past_the_int_digit_limit():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    for text, position in (("x^" + digits, 2), ("[1, " + digits + "]", 4)):
+        with pytest.raises(PolynomialParseError) as exc:
+            parse_polynomial(text)
+        assert exc.value.position == position
+
+
+def test_parse_fuzz_raises_only_parse_errors():
+    # str.isdigit accepts '²' and int() accepts '1_0', which once escaped
+    # as a bare ValueError; nothing but PolynomialParseError may escape
+    alphabet = ["x", "X", *"^+-*/,[]", " ", "\t", *"0123456789", *"²³¹٣", "_"]
+    rng = random.Random(20000)
+    parsed = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+        try:
+            parse_polynomial(text)
+            parsed += 1
+        except PolynomialParseError:
+            pass
+    assert parsed > 0
+
+
 # ----------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------
@@ -70,6 +109,11 @@ def test_exit_code_ok(capsys):
 def test_exit_code_parse_error(capsys):
     assert main(["inspect", "x^2 - 1/2"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_exit_code_non_ascii_digit(capsys):
+    assert main(["inspect", "x^²+1"]) == 2
+    assert "parse error: expected an integer (at position 2)" in capsys.readouterr().err
 
 
 def test_exit_code_reducible(capsys):

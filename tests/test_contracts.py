@@ -43,12 +43,26 @@ def test_bench_layers_resolve_to_callables():
     assert missing == []
 
 
+def test_no_module_imports_a_private_name_of_numberfield_or_local():
+    # the order and p-adic kernels other modules share are public names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "nftrace.numberfield",
+                "nftrace.local",
+            ):
+                found += [f"{path.name}:{a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 # integer-only kernels: Gram-Schmidt data is carried as Gram determinants,
 # the Gram inverse of the coordinate bound as the integer adjugate, the
 # Newton slope of the Round-2 start and the sides of Ore's polygons as
-# integer pairs with int valuations, the symmetric
-# elimination of a quadratic form as leading minors (over Q) or residues
-# mod p^K (over Z_p), and polynomial remainders as pseudo-remainders
+# integer pairs with int valuations, the algebra O/pO as residues mod p,
+# the symmetric elimination of a quadratic form as leading minors (over Q)
+# or residues mod p^K (over Z_p), and polynomial remainders as
+# pseudo-remainders
 _INTEGER_ONLY = {
     "_linalg.py": ("lll_reduce", "nearest_plane", "int_adjugate"),
     "numberfield.py": (
@@ -61,15 +75,17 @@ _INTEGER_ONLY = {
     "local.py": (
         "ore",
         "_phi_expansion",
-        "_valuation",
         "_sides",
         "_lattice_points",
         "_residual",
         "_factor_degrees",
+        "frobenius_matrix",
+        "minimal_polynomial",
+        "split_by_idempotents",
     ),
-    "splitting.py": ("_split_via_order", "_minimal_polynomial"),
     "quadform.py": ("_sym_bareiss", "diagonalize_rational", "jordan_form_odd"),
     "exact.py": (
+        "split_val",
         "_pseudo_rem",
         "poly_gcd",
         "_sturm_chain",

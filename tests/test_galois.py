@@ -23,6 +23,7 @@ from nftrace.exact import (
     IntPoly,
     _centered,
     factor_poly_mod,
+    gf_factor_degrees,
     gf_from_intpoly,
     gf_gcdex,
     gf_mul,
@@ -35,7 +36,6 @@ from nftrace.numberfield import (
     _all_roots_inert,
     _coordinate_bound,
     _count_roots_split,
-    _factor_degree_pattern,
     _poly_eval_mod,
     _verify_root,
     is_galois,
@@ -115,7 +115,10 @@ def _old_count_roots_split(K, p, bound):
 def _first_split_prime(K):
     disc_f = K.index**2 * K.disc
     p = 2
-    while disc_f % p == 0 or _factor_degree_pattern(K.defining_poly, p) != [1] * K.degree:
+    while (
+        disc_f % p == 0
+        or gf_factor_degrees(gf_from_intpoly(K.defining_poly, p), p) != [1] * K.degree
+    ):
         p += 1
         while not is_prime(p):
             p += 1
@@ -270,7 +273,11 @@ def _old_coordinate_bound(K):
 def _first_inert_prime(K):
     disc_f = K.index**2 * K.disc
     for p in range(2, 3000):
-        if is_prime(p) and disc_f % p and _factor_degree_pattern(K.defining_poly, p) == [K.degree]:
+        if (
+            is_prime(p)
+            and disc_f % p
+            and gf_factor_degrees(gf_from_intpoly(K.defining_poly, p), p) == [K.degree]
+        ):
             return p
     return None
 

@@ -5,7 +5,7 @@ The Fraction oracle is the rational construction of the structure
 constants: invert the basis matrix over Q, multiply basis vectors in
 Q[x]/(f) and read the coordinates through the inverse.  The integer
 `_mult_table` must return the same (C, minv) at every order Round-2 visits,
-and `_alg_mul` must agree with the oracle's rational product.
+and `local.alg_mul` must agree with the oracle's rational product.
 
 The Round-2 reference is the procedure before the Newton start and the
 discriminant stop: every prime starts from Z[theta] and is enlarged until
@@ -23,15 +23,13 @@ import pytest
 
 from conftest import CORPUS
 from test_bench_outputs import _is_irreducible, _workloads
-from nftrace import numberfield
+from nftrace import local, numberfield
 from nftrace._linalg import frac_matrix_inverse, hnf_rows
 from nftrace.exact import InternalInvariantError, IntPoly, factor_integer, poly_discriminant
+from nftrace.local import alg_mul, alg_pow, frobenius_matrix
 from nftrace.numberfield import (
-    _alg_mul,
-    _alg_pow,
     _canonical_basis,
     _enlarge_at_p,
-    _frobenius_power_matrix,
     _maximal_order,
     _mult_table,
     _newton_start,
@@ -134,7 +132,7 @@ def test_alg_mul_matches_fraction_product(name):
         A = [sum(a[i] * M[i][k] for i in range(n)) for k in range(n)]
         B = [sum(b[i] * M[i][k] for i in range(n)) for k in range(n)]
         want = _oracle_coords(M, Minv, _fr_mul_mod(A, B, f))
-        assert _alg_mul(K._mult, a, b) == want
+        assert alg_mul(K._mult, a, b) == want
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +153,8 @@ def _old_alg_pow(mult, one, v, e):
 
 def _old_frobenius_power_matrix(C, p, n):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numberfield, "_alg_pow", _old_alg_pow)
-        return _frobenius_power_matrix(C, p, n)
+        mp.setattr(local, "alg_pow", _old_alg_pow)
+        return frobenius_matrix(C, p)[1]
 
 
 def _reference_maximal_order(f, disc_f_fac):
@@ -166,7 +164,7 @@ def _reference_maximal_order(f, disc_f_fac):
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     parts = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numberfield, "_alg_pow", _old_alg_pow)
+        mp.setattr(local, "alg_pow", _old_alg_pow)
         for p, e in disc_f_fac:
             if e < 2:
                 continue
@@ -353,27 +351,27 @@ def test_alg_pow_equals_repeated_alg_mul(name):
     for p in (2, 3, 7):
 
         def mult(u, v):
-            return [c % p for c in _alg_mul(C, u, v)]
+            return [c % p for c in alg_mul(C, u, v)]
 
         for _ in range(3):
             v = [rng.randrange(p) for _ in range(n)]
             acc = one
             for e in range(41):
-                assert _alg_pow(mult, one, v, e) == acc, (p, e)
+                assert alg_pow(mult, one, v, e) == acc, (p, e)
                 acc = mult(acc, v)
-            assert _alg_pow(mult, one, v, big) == _old_alg_pow(mult, one, v, big)
+            assert alg_pow(mult, one, v, big) == _old_alg_pow(mult, one, v, big)
 
     def mult_z(u, v):
-        return _alg_mul(C, u, v)
+        return alg_mul(C, u, v)
 
     v = [rng.randint(-2, 2) for _ in range(n)]
     acc = one
     for e in range(41):
-        assert _alg_pow(mult_z, one, v, e) == acc, e
+        assert alg_pow(mult_z, one, v, e) == acc, e
         acc = mult_z(acc, v)
     # over Z the big exponent is only feasible on torsion: (-1)^e = -1
     minus_one = [-1] + [0] * (n - 1)
-    assert _alg_pow(mult_z, one, minus_one, big) == minus_one
+    assert alg_pow(mult_z, one, minus_one, big) == minus_one
 
 
 @pytest.mark.parametrize("name,order", [("gauss", 4), ("zeta8", 8)])
@@ -383,12 +381,12 @@ def test_alg_pow_of_a_root_of_unity_at_a_large_exponent(name, order):
     theta = [0, 1] + [0] * (n - 2)  # both orders are Z[theta]
 
     def mult(u, v):
-        return _alg_mul(K._mult, u, v)
+        return alg_mul(K._mult, u, v)
 
     want = [1] + [0] * (n - 1)
     for _ in range((2**61 - 1) % order):
         want = mult(want, theta)
-    assert _alg_pow(mult, None, theta, 2**61 - 1) == want
+    assert alg_pow(mult, None, theta, 2**61 - 1) == want
 
 
 _FROBENIUS_POLYS = POLYS + [("x^6 + 3", IntPoly([3, 0, 0, 0, 0, 0, 1]))] + _steep_draws(30)
@@ -407,4 +405,4 @@ def test_frobenius_power_matrix_unchanged_on_every_visited_order(name, f, monkey
     for den, rows, p in visited:
         C, _ = _mult_table(f, den, rows)
         n = f.degree
-        assert _frobenius_power_matrix(C, p, n) == _old_frobenius_power_matrix(C, p, n), (den, p)
+        assert frobenius_matrix(C, p)[1] == _old_frobenius_power_matrix(C, p, n), (den, p)

@@ -1,6 +1,6 @@
 """The order route of split_prime against the route it replaced.
 
-`_split_via_order` splits O_K/pO_K by its idempotents and reads e*f and f
+`local.split_by_idempotents` splits O_K/pO_K by its idempotents and reads e*f and f
 off two ranks.  The route before it is kept here as the reference: it
 projects onto the semisimple quotient O/J, splits that into fields along
 eigenspaces of Frobenius-fixed elements, and takes each e as the largest
@@ -8,10 +8,16 @@ power of the prime ideal (an HNF lattice) that still contains pO_K.  Both
 must give the same (e, f) pairs at every (f, p) with p^2 | disc(f) of the
 Round-2 input groups and at every prime below 60 on CORPUS, the cyclotomic
 and the random fields; two mutants of the new route must be caught there.
+
+The reference solves its F_p systems with `solve_row_combo_mod_p`, kept
+here as a test-only copy of the solver the package used before
+`local.minimal_polynomial` read the polynomial off a kernel; the two
+minimal polynomials must agree on seeded elements of O_K/pO_K.
 """
 
 import functools
 import inspect
+import random
 import textwrap
 
 import pytest
@@ -19,8 +25,8 @@ import pytest
 from conftest import CORPUS
 from test_acceptance import _random_fields
 from test_order_arithmetic import _cyclotomic, _round2_inputs
-from nftrace import splitting
-from nftrace._linalg import hnf_rows, lattice_coords, nullspace_mod_p, solve_row_combo_mod_p
+from nftrace import local
+from nftrace._linalg import hnf_rows, lattice_coords, nullspace_mod_p
 from nftrace.exact import (
     InternalInvariantError,
     IntPoly,
@@ -28,17 +34,50 @@ from nftrace.exact import (
     factor_poly_mod,
     poly_discriminant,
 )
-from nftrace.numberfield import _alg_mul, _alg_pow, _frobenius_power_matrix, new_field
+from nftrace.local import alg_mul, alg_pow, frobenius_matrix, minimal_polynomial
+from nftrace.numberfield import new_field
+
+
+def solve_row_combo_mod_p(rows, target, p):
+    """x with sum x_i rows[i] = target over F_p, or None."""
+    if not rows:
+        return None if any(a % p for a in target) else []
+    ncols = len(rows[0])
+    aug = [[rows[i][j] % p for i in range(len(rows))] + [target[j] % p]
+           for j in range(ncols)]
+    nvars = len(rows)
+    piv_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(nvars):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][c], p - 2, p)
+        aug[r] = [a * inv % p for a in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
+        piv_of_col[c] = r
+        r += 1
+    for i in range(r, len(aug)):
+        if aug[i][nvars]:
+            return None
+    x = [0] * nvars
+    for c, i in piv_of_col.items():
+        x[c] = aug[i][nvars]
+    return x
 
 
 def _reference_split_via_order(K, p):
     """(e, f) pairs from eigenspaces of Frobenius-fixed elements and HNF ideal powers."""
     n = K.degree
     C = K._mult
-    rad = nullspace_mod_p(_frobenius_power_matrix(C, p, n), p)
+    rad = nullspace_mod_p(frobenius_matrix(C, p)[1], p)
 
     def mult_mod_p(u, v):
-        return [c % p for c in _alg_mul(C, u, v)]
+        return [c % p for c in alg_mul(C, u, v)]
 
     one = [1] + [0] * (n - 1)
     if rad:
@@ -102,7 +141,7 @@ def _split_unital(mult, one, basis, p):
     # Frobenius in basis coordinates; fixed-space dimension = factor count
     cols = []
     for b in basis:
-        img = _alg_pow(mult, one, b, p)
+        img = alg_pow(mult, one, b, p)
         x = solve_row_combo_mod_p(basis, img, p)
         if x is None:
             raise InternalInvariantError("Frobenius left the algebra")
@@ -196,7 +235,7 @@ def _valuation_of_p(K, P_hnf, p):
     power = base
     e = 1
     while e <= n:
-        prods = [_alg_mul(C, a, b) for a in power for b in base]
+        prods = [alg_mul(C, a, b) for a in power for b in base]
         nxt = hnf_rows(prods)
         if len(nxt) == n and contains_pO(nxt):
             power = nxt
@@ -252,7 +291,7 @@ def _disagreements(route, cases):
     bad = []
     for name, coeffs, p in cases:
         try:
-            pairs = _sorted(route(_field(coeffs), p))
+            pairs = _sorted(route(_field(coeffs)._mult, p))
         except InternalInvariantError as exc:
             pairs = exc
         if pairs != _reference(coeffs, p):
@@ -269,21 +308,21 @@ _INDEX_CASES = {"corpus": 38, "rescalings": 360, "cyclotomic": 25, "random": 112
 def test_order_route_equals_the_reference_where_p_squared_divides_disc_f(group):
     cases = _index_prime_cases(group)
     assert len(cases) == _INDEX_CASES[group]
-    assert _disagreements(splitting._split_via_order, cases) == []
+    assert _disagreements(local.split_by_idempotents, cases) == []
 
 
 @pytest.mark.parametrize("group", ["corpus", "cyclotomic", "random"])
 def test_order_route_equals_the_reference_below_60(group):
-    assert _disagreements(splitting._split_via_order, _small_prime_cases(group)) == []
+    assert _disagreements(local.split_by_idempotents, _small_prime_cases(group)) == []
 
 
 def _mutant(old, new):
-    """_split_via_order with one source fragment replaced."""
-    source = textwrap.dedent(inspect.getsource(splitting._split_via_order))
+    """split_by_idempotents with one source fragment replaced."""
+    source = textwrap.dedent(inspect.getsource(local.split_by_idempotents))
     assert source.count(old) == 1, old
-    namespace = dict(vars(splitting))
-    exec(compile(source.replace(old, new), splitting.__file__, "exec"), namespace)
-    return namespace["_split_via_order"]
+    namespace = dict(vars(local))
+    exec(compile(source.replace(old, new), local.__file__, "exec"), namespace)
+    return namespace["split_by_idempotents"]
 
 
 _MUTANTS = {
@@ -301,3 +340,43 @@ _MUTANTS = {
 def test_mutants_of_the_order_route_are_caught(mutant):
     route = _mutant(*_MUTANTS[mutant])
     assert _disagreements(route, _index_prime_cases("corpus") + _small_prime_cases("corpus"))
+
+
+# ----------------------------------------------------------------------
+# the minimal polynomial against the solve_row_combo_mod_p version
+# ----------------------------------------------------------------------
+
+
+def _old_minimal_polynomial(mult, one, alpha, p):
+    """Monic minimal polynomial coefficients (ascending) of alpha."""
+    powers = [one]
+    while len(powers) <= len(one):
+        nxt = mult(powers[-1], alpha)
+        combo = solve_row_combo_mod_p(powers, nxt, p)
+        if combo is not None:
+            return [(-c) % p for c in combo] + [1]
+        powers.append(nxt)
+    raise InternalInvariantError("minimal polynomial exceeded algebra dimension")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_minimal_polynomial_equals_the_row_combo_version(p):
+    rng = random.Random(p)
+    for name, coeffs in CORPUS.items():
+        K = _field(tuple(coeffs))
+        n = K.degree
+        one = [1] + [0] * (n - 1)
+
+        def mult(u, v):
+            return [c % p for c in alg_mul(K._mult, u, v)]
+
+        elements = [[0] * n, one] + [[rng.randrange(p) for _ in range(n)] for _ in range(6)]
+        for alpha in elements:
+            mp = minimal_polynomial(mult, one, alpha, p)
+            assert mp == _old_minimal_polynomial(mult, one, alpha, p), (name, alpha)
+            assert mp[-1] == 1, (name, alpha)
+            value = [0] * n
+            for c in reversed(mp):
+                value = mult(value, alpha)
+                value[0] = (value[0] + c) % p
+            assert not any(value), (name, alpha)

@@ -36,11 +36,19 @@ from nftrace.exact import (
     gf_rem,
     gf_trim,
     poly_discriminant,
+    split_val,
 )
 from nftrace import numberfield, splitting
-from nftrace.local import _factor_degrees, _fq_distinct_degree, _fq_gcd, _fq_mul, _valuation, ore
+from nftrace.local import (
+    _factor_degrees,
+    _fq_distinct_degree,
+    _fq_gcd,
+    _fq_mul,
+    ore,
+    split_by_idempotents,
+)
 from nftrace.numberfield import new_field
-from nftrace.splitting import _split_via_order, split_prime
+from nftrace.splitting import split_prime
 
 
 def dedekind_p_maximal(f: IntPoly, p: int) -> bool:
@@ -79,12 +87,12 @@ def _reference(coeffs):
     fac = factor_integer(poly_discriminant(f))
     index = _reference_maximal_order(f, fac)[2]
     K = new_field(f)
-    return [(p, _valuation(index, p), K) for p, e in fac if e >= 2]
+    return [(p, split_val(index, p)[0], K) for p, e in fac if e >= 2]
 
 
 @functools.cache
 def _order_route(K, p):
-    return sorted(_split_via_order(K, p), key=lambda t: (t[1], t[0]))
+    return sorted(split_by_idempotents(K._mult, p), key=lambda t: (t[1], t[0]))
 
 
 def _check(inputs):
@@ -217,7 +225,9 @@ def test_split_prime_reads_ore_pairs_wherever_f_is_regular(monkeypatch):
     # O_K/pO_K; the irregular pairs are index primes and take the order route
     calls, factored = [], []
     monkeypatch.setattr(
-        splitting, "_split_via_order", lambda K, p: calls.append(p) or _split_via_order(K, p)
+        splitting,
+        "split_by_idempotents",
+        lambda C, p: calls.append(p) or split_by_idempotents(C, p),
     )
     monkeypatch.setattr(
         splitting, "factor_poly_mod", lambda f, p: factored.append(p) or factor_poly_mod(f, p)
@@ -246,7 +256,9 @@ def test_inspect_structured_table_takes_at_most_13_order_route_splits(monkeypatc
 
     calls = []
     monkeypatch.setattr(
-        splitting, "_split_via_order", lambda K, p: calls.append(p) or _split_via_order(K, p)
+        splitting,
+        "split_by_idempotents",
+        lambda C, p: calls.append(p) or split_by_idempotents(C, p),
     )
     ops, _ = _workloads().inspect_structured(1)
     for op in ops:

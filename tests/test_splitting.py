@@ -19,9 +19,9 @@ from nftrace.exact import (
     factor_poly,
     poly_discriminant,
 )
+from nftrace.local import split_by_idempotents
 from nftrace.numberfield import new_field
 from nftrace.splitting import (
-    _split_via_order,
     decomposition_type,
     is_tame,
     is_tame_field,
@@ -218,7 +218,9 @@ def test_two_routes_agree_off_the_index():
             if K.index % p == 0:
                 continue
             dedekind = split_prime(K, p).pairs
-            order_route = tuple(sorted(_split_via_order(K, p), key=lambda t: (t[1], t[0])))
+            order_route = tuple(
+                sorted(split_by_idempotents(K._mult, p), key=lambda t: (t[1], t[0]))
+            )
             assert order_route == dedekind, (name, p)
 
 
@@ -255,6 +257,6 @@ def test_split_prime_checks_the_different_exponent(wrong, monkeypatch):
     # needs v_5(d_K) > 4; an unramified answer needs v_5(d_K) = 0
     f = IntPoly([9765625, 1562500, 0, 1875, 0, 1])
     assert split_prime(new_field(f), 5).pairs == ((2, 1), (1, 3))
-    monkeypatch.setattr(splitting, "_split_via_order", lambda K, p: wrong)
+    monkeypatch.setattr(splitting, "split_by_idempotents", lambda C, p: wrong)
     with pytest.raises(InternalInvariantError, match=re.escape(f"f = {f} at p = 5")):
         split_prime(new_field(f), 5)
